@@ -11,9 +11,8 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import generate_synthetic, load_synthetic_spec
-from .dataset import column_ranks, load_dataset
-from .empirical import default_lattice_order
-from .measures import mutual_info_cell, mutual_info_kde, spearman_rho
+from .dataset import Dataset, load_dataset
+from .measures import weight_matrix
 from .structure import DependenceTree, learn_structure
 
 __all__ = ["main", "build_parser", "RunConfig", "tree_as_dict", "tree_as_dot"]
@@ -193,27 +192,17 @@ def cmd_measure(config: RunConfig) -> int:
     data = load_dataset(config.input_path)
     a, b = config.pair
     ia, ib = data.column_index(a), data.column_index(b)
-    order = (
-        default_lattice_order(data.sample_count)
-        if config.lattice_order == 0
-        else config.lattice_order
+    pair = Dataset((a, b), data.values[:, [ia, ib]])
+    w = weight_matrix(
+        pair, config.measure, config.lattice_order, tie_seed=config.tie_seed
     )
+    value = w.signed[0, 1]
     if config.measure == "rho_abs":
-        ranks = column_ranks(data.values[:, [ia, ib]], "random", config.tie_seed)
-        value = spearman_rho(ranks[:, 0], ranks[:, 1])
         sys.stdout.write(f"rho({a}, {b}) = {value:.6f}\n")
-    elif config.measure == "mi_cell":
-        ranks = column_ranks(data.values[:, [ia, ib]], "random", config.tie_seed)
-        value = mutual_info_cell(ranks[:, 0], ranks[:, 1], order)
-        sys.stdout.write(
-            f"mi_cell({a}, {b}) = {value:.6f} [lattice_order={order}]\n"
-        )
     else:
-        value = mutual_info_kde(
-            data.values[:, ia], data.values[:, ib], order, tie_seed=config.tie_seed
-        )
         sys.stdout.write(
-            f"mi_kde({a}, {b}) = {value:.6f} [lattice_order={order}]\n"
+            f"{config.measure}({a}, {b}) = {value:.6f} "
+            f"[lattice_order={w.lattice_order}]\n"
         )
     return 0
 

@@ -82,9 +82,16 @@ def _check_order(order: int, sample_count: int, dim: int) -> None:
         )
 
 
-def _cell_indices(ranks: np.ndarray, order: int, sample_count: int) -> np.ndarray:
-    # ceil(r*K/T) in exact integer arithmetic; result in 1..K.
-    return -((-ranks * order) // sample_count)
+def _cell_counts(ranks: np.ndarray, order: int) -> np.ndarray:
+    """Integer sample counts of the order-K lattice cells, shape (K,)*N.
+
+    ``ranks`` is a T x N array whose columns are permutations of 1..T.
+    """
+    t, n = ranks.shape
+    # 0-based cell index ceil(r*K/T) - 1 in exact integer arithmetic
+    cells = -((-ranks * order) // t) - 1
+    flat = np.ravel_multi_index(tuple(cells.T), (order,) * n)
+    return np.bincount(flat, minlength=order**n).reshape((order,) * n)
 
 
 def empirical_copula(ranks: RankMatrix, u) -> float:
@@ -123,9 +130,8 @@ def copula_cdf_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
     """
     t, n = ranks.sample_count, ranks.dim
     _check_order(order, t, n)
-    cells = _cell_indices(ranks.ranks, order, t)
-    counts = np.zeros((order + 1,) * n, dtype=np.int64)
-    np.add.at(counts, tuple(cells[:, j] for j in range(n)), 1)
+    # a leading zero per axis grounds the grid before the running sums
+    counts = np.pad(_cell_counts(ranks.ranks, order), [(1, 0)] * n)
     for axis in range(n):
         np.cumsum(counts, axis=axis, out=counts)
     return CopulaGrid(order=order, dim=n, kind="cdf", values=counts / t)
@@ -141,7 +147,5 @@ def copula_mass_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
     """
     t, n = ranks.sample_count, ranks.dim
     _check_order(order, t, n)
-    cells = _cell_indices(ranks.ranks, order, t)
-    counts = np.zeros((order,) * n, dtype=np.int64)
-    np.add.at(counts, tuple(cells[:, j] - 1 for j in range(n)), 1)
+    counts = _cell_counts(ranks.ranks, order)
     return CopulaGrid(order=order, dim=n, kind="mass", values=counts / t)

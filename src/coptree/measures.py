@@ -2,10 +2,11 @@
 
 Spearman's rho is evaluated through the empirical copula lattice at order
 T; the double sum over the lattice telescopes to an O(T) expression in the
-rank products, so no grid is materialized.  Mutual information comes in
-two flavours: a lattice plug-in over copula cell masses ("mi_cell") and a
-kernel-margin variant ("mi_kde") that importance-weights a sample sum so
-it targets the same copula-entropy integral.
+rank products, so no grid is materialized.  Mutual information is the
+plug-in KL divergence of the order-K lattice cell masses from a product of
+margins: the grid's observed row and column sums ("mi_cell"), or the
+nominal 1/K margins of a copula ("mi_kde").  Both depend on ranks only.
+:class:`KernelDensity` is a standalone utility; no estimator uses it.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, column_ranks
-from .empirical import default_lattice_order
+from .empirical import _cell_counts, default_lattice_order
 
 __all__ = [
     "MEASURES",
@@ -60,14 +61,11 @@ def spearman_rho(rank_x, rank_y) -> float:
     return (s - t * (t + 1.0) ** 2 / 4.0) * 12.0 / (t * (t * t - 1.0))
 
 
-def _mass_counts(rx: np.ndarray, ry: np.ndarray, order: int) -> np.ndarray:
-    # cell index ceil(r*K/T) in exact integer arithmetic
-    t = rx.shape[0]
-    cx = -((-rx * order) // t)
-    cy = -((-ry * order) // t)
-    counts = np.zeros((order, order), dtype=np.int64)
-    np.add.at(counts, (cx - 1, cy - 1), 1)
-    return counts
+def _plugin_mi(m: np.ndarray, row: np.ndarray, col: np.ndarray) -> float:
+    # sum_ij m_ij ln(m_ij / (row_i col_j)) over the occupied cells
+    occupied = m > 0
+    expected = np.outer(row, col)
+    return float(np.sum(m[occupied] * np.log(m[occupied] / expected[occupied])))
 
 
 def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
@@ -91,12 +89,8 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
         raise ValueError(
             f"lattice order must be in [2, {t}], got {lattice_order}"
         )
-    m = _mass_counts(rx, ry, lattice_order) / t
-    row = m.sum(axis=1)
-    col = m.sum(axis=0)
-    occupied = m > 0
-    expected = np.outer(row, col)
-    return float(np.sum(m[occupied] * np.log(m[occupied] / expected[occupied])))
+    m = _cell_counts(np.column_stack([rx, ry]), lattice_order) / t
+    return _plugin_mi(m, m.sum(axis=1), m.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -169,22 +163,26 @@ def mutual_info_kde(
     x,
     y,
     lattice_order: int,
-    mode: str = "weighted",
     tie_break: str = "random",
     tie_seed: int = 0,
 ) -> float:
-    """Mutual information (nats) from kernel margins and copula cells.
+    """Lattice mutual information (nats) against nominal 1/K margins.
 
-    Each sample contributes p_x(x_t) * p_y(y_t) * c_t * ln(c_t), where c_t
-    is the sample's copula cell density (cell mass times K^2) on the
-    order-K lattice and p_x, p_y are Gaussian kernel margin densities.
+    Returns sum_ij m_ij * ln(m_ij * K^2) over the occupied cells of the
+    order-K mass grid of the ranked pair.  That is the sample mean of
+    ln(c_t), with c_t the copula cell density (cell mass times K^2) at
+    sample t: an estimate of the copula-entropy integral ``int c ln c du``.
+    The kernel-margin form, p_x(x_t) * p_y(y_t) * c_t * ln(c_t) weighted
+    by the inverse joint density 1 / (p_x * p_y * c_t), reduces to the
+    same mean because the margins cancel.  So the value depends on the
+    ranks only, and equals ``mutual_info_cell`` whenever K divides T
+    (the observed margins are then exactly 1/K).
 
-    mode="weighted" (default) divides each contribution by the estimated
-    joint density p_x * p_y * c_t and averages over samples, so the sum is
-    an importance-weighted estimate of the copula-entropy integral
-    ``int c ln c du`` (empty cells contribute 0).  mode="raw" returns the
-    plain unnormalized sum of the contributions; it is not a consistent
-    estimator and is kept for diagnostics only.
+    Raises
+    ------
+    ValueError
+        On length mismatch, fewer than 10 samples, a lattice order
+        outside [2, T], a non-finite value, or a zero-variance column.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -195,32 +193,9 @@ def mutual_info_kde(
         raise ValueError(f"need at least 10 samples, got {t}")
     if not 2 <= lattice_order <= t:
         raise ValueError(f"lattice order must be in [2, {t}], got {lattice_order}")
-    if mode not in ("weighted", "raw"):
-        raise ValueError(f"unknown mode {mode!r}")
-    ranks = column_ranks(np.column_stack([x, y]), tie_break, tie_seed)
-    return _mutual_info_kde_ranked(x, y, ranks[:, 0], ranks[:, 1], lattice_order, mode)
-
-
-def _mutual_info_kde_ranked(x, y, rx, ry, order: int, mode: str,
-                            px=None, py=None) -> float:
-    t = x.shape[0]
-    counts = _mass_counts(rx, ry, order)
-    cx = -((-rx * order) // t)
-    cy = -((-ry * order) // t)
-    cell_density = counts[cx - 1, cy - 1] * (order * order / t)
-    if px is None:
-        px = KernelDensity.fit(x).density(x)
-    if py is None:
-        py = KernelDensity.fit(y).density(y)
-    occupied = cell_density > 0  # a sample's own cell is never empty
-    contrib = np.zeros(t)
-    c = cell_density[occupied]
-    contrib[occupied] = px[occupied] * py[occupied] * c * np.log(c)
-    if mode == "raw":
-        return float(np.sum(contrib))
-    weights = np.zeros(t)
-    weights[occupied] = 1.0 / (px[occupied] * py[occupied] * c)
-    return float(np.mean(contrib * weights))
+    pair = Dataset(columns=("x", "y"), values=np.column_stack([x, y]))
+    w = weight_matrix(pair, "mi_kde", lattice_order, tie_break, tie_seed)
+    return float(w.values[0, 1])
 
 
 @dataclass(frozen=True)
@@ -276,7 +251,8 @@ def weight_matrix(
     data : Dataset
     measure : {"rho_abs", "mi_cell", "mi_kde"}
         rho_abs stores |rho| in ``values`` and the signed rho in
-        ``signed``; both MI measures store the MI in both.
+        ``signed``; both MI measures store the MI in both.  mi_kde
+        rejects a column of equal values (zero variance).
     lattice_order : int
         Grid resolution for the MI measures; 0 picks
         ``default_lattice_order(T)``.  Ignored by rho_abs (rho always
@@ -297,14 +273,9 @@ def weight_matrix(
         lattice_order = default_lattice_order(t)
     if measure in ("mi_cell", "mi_kde") and not 2 <= lattice_order <= t:
         raise ValueError(f"lattice order must be in [2, {t}], got {lattice_order}")
+    if measure == "mi_kde" and np.any(np.ptp(data.values, axis=0) == 0):
+        raise ValueError("degenerate column: zero variance")
     ranks = column_ranks(data.values, tie_break, tie_seed)
-    densities = None
-    if measure == "mi_kde":
-        # each column's kernel density at its own samples, fitted once
-        densities = [
-            KernelDensity.fit(data.values[:, j]).density(data.values[:, j])
-            for j in range(n)
-        ]
     values = np.zeros((n, n))
     signed = np.zeros((n, n))
     for i in range(n):
@@ -315,16 +286,9 @@ def weight_matrix(
             elif measure == "mi_cell":
                 w = s = mutual_info_cell(ranks[:, i], ranks[:, j], lattice_order)
             else:
-                w = s = _mutual_info_kde_ranked(
-                    data.values[:, i],
-                    data.values[:, j],
-                    ranks[:, i],
-                    ranks[:, j],
-                    lattice_order,
-                    "weighted",
-                    px=densities[i],
-                    py=densities[j],
-                )
+                uniform = np.full(lattice_order, 1.0 / lattice_order)
+                m = _cell_counts(ranks[:, [i, j]], lattice_order) / t
+                w = s = _plugin_mi(m, uniform, uniform)
             values[i, j] = values[j, i] = w
             signed[i, j] = signed[j, i] = s
     return WeightMatrix(

@@ -181,8 +181,8 @@ def learn_structure(
 
     Returns the tree with its coverage ratio filled in.  Fully
     deterministic for fixed inputs; exactly invariant under strictly
-    increasing per-column transformations of the data for measures
-    rho_abs and mi_cell.
+    increasing per-column transformations of the data for every measure,
+    since each depends on the ranks only.
     """
     w = weight_matrix(data, measure, lattice_order, tie_break, tie_seed)
     tree = maximum_spanning_tree(w)

@@ -61,6 +61,19 @@ def direct_bin_counts(ranks: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+def uniform_margin_mi(ranks: np.ndarray, order: int) -> float:
+    """Lattice MI against nominal 1/K margins: the mean over samples of
+    ln(count of the sample's cell * K^2 / T), cells as in
+    ``direct_bin_counts``."""
+    t = ranks.shape[0]
+    counts = direct_bin_counts(ranks, order)
+    total = 0.0
+    for row in range(t):
+        cell = tuple(math.ceil(Fraction(int(r) * order, t)) - 1 for r in ranks[row])
+        total += math.log(counts[cell] * order * order / t)
+    return total / t
+
+
 def naive_spearman(rank_x, rank_y) -> float:
     """The O(T^2) lattice double sum: (12/(T^2-1)) * sum over all lattice
     points of (C_hat(t1/T, t2/T) - t1*t2/T^2)."""

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coptree import (
     Dataset,
@@ -19,7 +20,7 @@ from coptree import (
     spearman_rho,
     weight_matrix,
 )
-from oracles import naive_spearman
+from oracles import naive_spearman, uniform_margin_mi
 
 
 class TestSpearmanRho:
@@ -193,14 +194,22 @@ class TestMutualInfoKde:
         value = mutual_info_kde(rng.standard_normal(1000), rng.standard_normal(1000), 31)
         assert 0.35 < value < 0.65
 
-    def test_raw_mode_is_unnormalized(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(400)
-        y = 0.5 * x + rng.standard_normal(400)
-        weighted = mutual_info_kde(x, y, 10)
-        raw = mutual_info_kde(x, y, 10, mode="raw")
-        assert np.isfinite(raw)
-        assert raw != pytest.approx(weighted)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_uniform_margin_oracle(self, data):
+        t = data.draw(st.integers(10, 300), label="T")
+        order = data.draw(st.integers(2, t), label="K")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        # correlated and rounded to 0.1, so ties go through the tie order
+        xy = np.round(rng.standard_normal((t, 2)) @ [[1.0, 0.6], [0.0, 0.8]], 1)
+        x, y = xy[:, 0], xy[:, 1]
+        value = mutual_info_kde(x, y, order)
+        ranks = column_ranks(xy, "random", 0)
+        assert abs(value - uniform_margin_mi(ranks, order)) <= 1e-12
+        if t % order == 0:
+            cell = mutual_info_cell(ranks[:, 0], ranks[:, 1], order)
+            assert abs(value - cell) <= 1e-12
 
     def test_validation(self):
         x = np.arange(20.0)
@@ -208,8 +217,6 @@ class TestMutualInfoKde:
             mutual_info_kde(x[:5], x[:5], 2)
         with pytest.raises(ValueError, match="lattice order"):
             mutual_info_kde(x, x, 21)
-        with pytest.raises(ValueError, match="mode"):
-            mutual_info_kde(x, x, 4, mode="fancy")
         with pytest.raises(ValueError, match="zero variance"):
             mutual_info_kde(np.ones(20), x, 4)
 
@@ -236,7 +243,7 @@ class TestWeightMatrix:
         assert np.all(w.values[~np.eye(4, dtype=bool)] >= 0.0)
         assert np.all(np.diag(w.values) == 0.0)
 
-    @pytest.mark.parametrize("measure", ["rho_abs", "mi_cell"])
+    @pytest.mark.parametrize("measure", ["rho_abs", "mi_cell", "mi_kde"])
     def test_exact_invariance_under_increasing_transforms(self, measure):
         rng = np.random.default_rng(18)
         values = np.round(rng.standard_normal((150, 3)), 1)  # includes ties
