@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -381,7 +381,8 @@ def block_correlation(spec: SyntheticSpec) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec, seed: int | None = None) -> Dataset:
     """Sample a Dataset from a synthetic spec; ``seed`` overrides the
-    spec's own seed."""
-    actual_seed = spec.seed if seed is None else seed
-    uniforms = sample_gaussian_copula(block_correlation(spec), spec.samples, actual_seed)
+    spec's own seed and is validated as the spec's is."""
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    uniforms = sample_gaussian_copula(block_correlation(spec), spec.samples, spec.seed)
     return push_margins(uniforms, spec.margins, columns=spec.names)

@@ -8,43 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import generate_synthetic, load_synthetic_spec
 from .dataset import Dataset, load_dataset
 from .measures import weight_matrix
 from .structure import DependenceTree, learn_structure
 
-__all__ = ["main", "build_parser", "RunConfig", "tree_as_dict", "tree_as_dot"]
+__all__ = ["main", "build_parser", "tree_as_dict", "tree_as_dot"]
 
 _MEASURE_FLAGS = {"rho": "rho_abs", "mi-cell": "mi_cell", "mi-kde": "mi_kde"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; exactly one command with its options."""
-
-    command: str
-    input_path: str | None = None
-    spec_path: str | None = None
-    output_path: str | None = None
-    json_path: str | None = None
-    dot_path: str | None = None
-    measure: str = "mi_cell"
-    lattice_order: int = 0
-    seed: int | None = None
-    tie_seed: int = 0
-    pair: tuple[str, str] | None = None
-
-    def __post_init__(self):
-        if self.command not in ("learn", "synth", "measure"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.lattice_order < 0:
-            raise ValueError("lattice order must be 0 (auto) or >= 2")
-        if self.lattice_order == 1:
-            raise ValueError("lattice order must be 0 (auto) or >= 2")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,37 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "learn":
-        return RunConfig(
-            command="learn",
-            input_path=args.input,
-            measure=_MEASURE_FLAGS[args.measure],
-            lattice_order=args.lattice_order,
-            json_path=args.json,
-            dot_path=args.dot,
-            tie_seed=args.tie_seed,
-        )
-    if args.command == "synth":
-        return RunConfig(
-            command="synth",
-            spec_path=args.spec,
-            output_path=args.output,
-            seed=args.seed,
-        )
-    parts = tuple(name.strip() for name in args.pair.split(","))
+def _parse_pair(text: str) -> tuple[str, str]:
+    parts = tuple(name.strip() for name in text.split(","))
     if len(parts) != 2 or not all(parts):
-        raise ValueError(f"--pair expects two column names, got {args.pair!r}")
+        raise ValueError(f"--pair expects two column names, got {text!r}")
     if parts[0] == parts[1]:
-        raise ValueError(f"--pair must name two distinct columns, got {args.pair!r}")
-    return RunConfig(
-        command="measure",
-        input_path=args.input,
-        pair=parts,
-        measure=_MEASURE_FLAGS[args.measure],
-        lattice_order=args.lattice_order,
-        tie_seed=args.tie_seed,
-    )
+        raise ValueError(f"--pair must name two distinct columns, got {text!r}")
+    return parts
 
 
 def tree_as_dict(tree: DependenceTree) -> dict:
@@ -145,31 +93,36 @@ def tree_as_dict(tree: DependenceTree) -> dict:
     }
 
 
+def _dot_id(name: str) -> str:
+    # a DOT quoted string escapes exactly one character: the double quote
+    return '"' + name.replace('"', '\\"') + '"'
+
+
 def tree_as_dot(tree: DependenceTree) -> str:
     """Undirected DOT graph with 4-decimal edge weight labels."""
     lines = ["graph deptree {"]
     for e in tree.edges:
-        lines.append(f'  "{e.u}" -- "{e.v}" [label="{e.weight:.4f}"];')
+        lines.append(f'  {_dot_id(e.u)} -- {_dot_id(e.v)} [label="{e.weight:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_learn(config: RunConfig) -> int:
-    data = load_dataset(config.input_path)
+def cmd_learn(args: argparse.Namespace) -> int:
+    data = load_dataset(args.input)
     tree = learn_structure(
         data,
-        measure=config.measure,
-        lattice_order=config.lattice_order,
-        tie_seed=config.tie_seed,
+        measure=_MEASURE_FLAGS[args.measure],
+        lattice_order=args.lattice_order,
+        tie_seed=args.tie_seed,
     )
     payload = json.dumps(tree_as_dict(tree), indent=2) + "\n"
-    if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8") as handle:
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(payload)
-    if config.dot_path:
-        with open(config.dot_path, "w", encoding="utf-8") as handle:
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(tree_as_dot(tree))
-    if not config.json_path and not config.dot_path:
+    if not args.json and not args.dot:
         sys.stdout.write(payload)
     return 0
 
@@ -178,31 +131,29 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def cmd_synth(config: RunConfig) -> int:
-    spec = load_synthetic_spec(config.spec_path)
-    data = generate_synthetic(spec, seed=config.seed)
-    with open(config.output_path, "w", encoding="utf-8") as handle:
+def cmd_synth(args: argparse.Namespace) -> int:
+    spec = load_synthetic_spec(args.spec)
+    data = generate_synthetic(spec, seed=args.seed)
+    with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(",".join(data.columns) + "\n")
         for row in data.values:
             handle.write(",".join(_format_float(v) for v in row) + "\n")
     return 0
 
 
-def cmd_measure(config: RunConfig) -> int:
-    data = load_dataset(config.input_path)
-    a, b = config.pair
+def cmd_measure(args: argparse.Namespace) -> int:
+    a, b = _parse_pair(args.pair)
+    data = load_dataset(args.input)
     ia, ib = data.column_index(a), data.column_index(b)
     pair = Dataset((a, b), data.values[:, [ia, ib]])
-    w = weight_matrix(
-        pair, config.measure, config.lattice_order, tie_seed=config.tie_seed
-    )
+    measure = _MEASURE_FLAGS[args.measure]
+    w = weight_matrix(pair, measure, args.lattice_order, tie_seed=args.tie_seed)
     value = w.signed[0, 1]
-    if config.measure == "rho_abs":
+    if measure == "rho_abs":
         sys.stdout.write(f"rho({a}, {b}) = {value:.6f}\n")
     else:
         sys.stdout.write(
-            f"{config.measure}({a}, {b}) = {value:.6f} "
-            f"[lattice_order={w.lattice_order}]\n"
+            f"{measure}({a}, {b}) = {value:.6f} [lattice_order={w.lattice_order}]\n"
         )
     return 0
 
@@ -214,8 +165,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as error:
         sys.stderr.write(f"error: {error}\n")
         return 1

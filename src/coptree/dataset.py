@@ -108,8 +108,9 @@ def load_dataset(source) -> Dataset:
     Parameters
     ----------
     source : str, os.PathLike or text file object
-        Path to a CSV file, or an open text stream.  UTF-8, comma
-        separator, one header row, decimal point; no quoting.
+        Path to a CSV file, or an open text stream.  UTF-8 (a leading
+        byte-order mark in a file is dropped), comma separator, one header
+        row, decimal point; no quoting.  Blank lines are skipped.
 
     Returns
     -------
@@ -121,47 +122,44 @@ def load_dataset(source) -> Dataset:
     ValueError
         On a non-numeric or non-finite cell (reported with row and column),
         a ragged row, duplicate column names, or fewer than 2 rows/columns.
+        "row i" is the i-th data row: the header and blank lines are not
+        counted.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return _parse_csv(handle)
     return _parse_csv(source)
 
 
 def _parse_csv(handle) -> Dataset:
+    # Only what Dataset cannot know is checked here: the header, the field
+    # count and the text of each cell.  Dataset checks the rest.
     reader = csv.reader(handle)
     try:
         header = next(reader)
     except StopIteration:
         raise ValueError("empty input: missing header row") from None
-    columns = [name.strip() for name in header]
+    columns = tuple(name.strip() for name in header)
     n = len(columns)
     rows = []
-    for i, record in enumerate(reader, start=1):
+    for record in reader:
         if not record or (len(record) == 1 and not record[0].strip()):
             continue  # ignore blank lines
+        i = len(rows) + 1
         if len(record) != n:
             raise ValueError(f"row {i}: expected {n} fields, got {len(record)}")
-        parsed = []
-        for j, cell in enumerate(record):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"row {i}, column {columns[j]!r}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                ) from None
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"row {i}, column {columns[j]!r}: value is not finite"
-                )
-            parsed.append(value)
-        rows.append(parsed)
-    if n < 2:
-        raise ValueError(f"need at least 2 columns, got {n}")
-    if len(rows) < 2:
-        raise ValueError(f"need at least 2 rows, got {len(rows)}")
-    return Dataset(columns=tuple(columns), values=np.array(rows, dtype=float))
+        try:
+            rows.append([float(cell) for cell in record])
+        except ValueError:
+            for j, cell in enumerate(record):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"row {i}, column {columns[j]!r}: "
+                        f"cannot parse {cell.strip()!r} as a number"
+                    ) from None
+    return Dataset(columns, np.array(rows, dtype=float).reshape(len(rows), n))
 
 
 def column_ranks(

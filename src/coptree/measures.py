@@ -178,6 +178,9 @@ def mutual_info_kde(
     ranks only, and equals ``mutual_info_cell`` whenever K divides T
     (the observed margins are then exactly 1/K).
 
+    ``lattice_order`` 0 picks ``default_lattice_order(T)``, as in
+    :func:`weight_matrix`.
+
     Raises
     ------
     ValueError
@@ -191,8 +194,6 @@ def mutual_info_kde(
     t = x.shape[0]
     if t < 10:
         raise ValueError(f"need at least 10 samples, got {t}")
-    if not 2 <= lattice_order <= t:
-        raise ValueError(f"lattice order must be in [2, {t}], got {lattice_order}")
     pair = Dataset(columns=("x", "y"), values=np.column_stack([x, y]))
     w = weight_matrix(pair, "mi_kde", lattice_order, tie_break, tie_seed)
     return float(w.values[0, 1])
@@ -255,8 +256,9 @@ def weight_matrix(
         rejects a column of equal values (zero variance).
     lattice_order : int
         Grid resolution for the MI measures; 0 picks
-        ``default_lattice_order(T)``.  Ignored by rho_abs (rho always
-        uses the full order-T lattice).
+        ``default_lattice_order(T)``.  Validated to lie in [2, T] and
+        recorded in the result for every measure, though rho_abs does not
+        use it (rho always uses the full order-T lattice).
     tie_break, tie_seed
         Rank tie handling, see :func:`coptree.dataset.column_ranks`.
         Randomized tie order is the default: row-stable ordinal ranks let
@@ -271,7 +273,7 @@ def weight_matrix(
     t, n = data.sample_count, data.dim
     if lattice_order == 0:
         lattice_order = default_lattice_order(t)
-    if measure in ("mi_cell", "mi_kde") and not 2 <= lattice_order <= t:
+    if not 2 <= lattice_order <= t:
         raise ValueError(f"lattice order must be in [2, {t}], got {lattice_order}")
     if measure == "mi_kde" and np.any(np.ptp(data.values, axis=0) == 0):
         raise ValueError("degenerate column: zero variance")

@@ -280,6 +280,8 @@ class TestSyntheticSpec:
         assert np.array_equal(data.values, again.values)
         other = generate_synthetic(synthetic_spec, seed=1)
         assert not np.array_equal(data.values, other.values)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            generate_synthetic(synthetic_spec, seed=-1)
 
     def test_exponential_margin_is_positive(self, synthetic_spec):
         data = generate_synthetic(synthetic_spec)

@@ -124,6 +124,13 @@ class TestLearn:
         assert ("crim", "rad") in pairs
         assert ("lstat", "medv") in pairs
 
+    def test_dot_escapes_quotes_in_names(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('a,b"q\n1,2\n3,4\n2,2\n')
+        dot = tmp_path / "tree.dot"
+        assert main(["learn", "--input", str(path), "--dot", str(dot)]) == 0
+        assert dot.read_text().splitlines()[1].startswith('  "a" -- "b\\"q" [')
+
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,x\n3,4\n")
@@ -137,6 +144,8 @@ class TestLearn:
     def test_bad_lattice_order_exits_one(self, toy_csv):
         assert main(["learn", "--input", str(toy_csv), "--lattice-order", "1"]) == 1
         assert main(["learn", "--input", str(toy_csv), "--lattice-order", "500"]) == 1
+        assert main(["learn", "--input", str(toy_csv), "--measure", "rho",
+                     "--lattice-order", "1"]) == 1
 
     def test_degenerate_column_with_kde_exits_one(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -229,9 +238,10 @@ class TestSynth:
 class TestMeasure:
     def test_comonotone_rho(self, tmp_path, capsys):
         path = tmp_path / "pair.csv"
-        path.write_text("a,b\n1,10\n2,20\n")
-        assert main(["measure", "--input", str(path), "--pair", "a,b"]) == 0
-        assert capsys.readouterr().out.strip() == "rho(a, b) = 1.000000"
+        for encoding in ("utf-8", "utf-8-sig"):  # with and without a BOM
+            path.write_text("a,b\n1,10\n2,20\n", encoding=encoding)
+            assert main(["measure", "--input", str(path), "--pair", "a,b"]) == 0
+            assert capsys.readouterr().out.strip() == "rho(a, b) = 1.000000"
 
     def test_countermonotone_rho(self, tmp_path, capsys):
         path = tmp_path / "anti.csv"

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coptree import Dataset, RankMatrix, column_ranks, load_dataset, rank_transform
 
@@ -56,9 +57,51 @@ class TestLoadDataset:
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "small.csv"
-        path.write_text("x,y\n0.5,1.5\n2.5,3.5\n")
-        data = load_dataset(path)
-        assert data.columns == ("x", "y")
+        # utf-8-sig writes the byte-order mark that Excel puts first
+        for encoding in ("utf-8", "utf-8-sig"):
+            path.write_text("x,y\n0.5,1.5\n2.5,3.5\n", encoding=encoding)
+            data = load_dataset(path)
+            assert data.columns == ("x", "y")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_and_fault_location(self, data):
+        # a table of repr floats, blank lines anywhere, parses bit-identically
+        t = data.draw(st.integers(2, 8), label="rows")
+        n = data.draw(st.integers(2, 5), label="columns")
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(
+            st.lists(st.lists(finite, min_size=n, max_size=n), min_size=t, max_size=t)
+        )
+        names = [f"v{j}" for j in range(n)]
+        lines = [",".join(repr(v) for v in row) for row in values]
+        blanks = data.draw(st.lists(st.integers(0, t), max_size=4), label="blanks")
+
+        def render(rows):
+            out = list(rows)
+            for at in sorted(blanks, reverse=True):
+                out.insert(at, "")
+            return "\n".join([",".join(names)] + out) + "\n"
+
+        parsed = load_dataset(io.StringIO(render(lines)))
+        assert parsed.columns == tuple(names)
+        assert np.array_equal(parsed.values, np.array(values))
+        assert np.array_equal(np.signbit(parsed.values), np.signbit(values))
+
+        # one bad cell: the message names its data row and its column
+        i = data.draw(st.integers(0, t - 1), label="fault row")
+        j = data.draw(st.integers(0, n - 1), label="fault column")
+        fault = data.draw(st.sampled_from(["x1", "1..2", "nan", "-inf", "extra"]))
+        cells = lines[i].split(",")
+        if fault == "extra":
+            cells.insert(j, "0.0")
+            expected = rf"^row {i + 1}: expected {n} fields, got {n + 1}$"
+        else:
+            cells[j] = fault
+            expected = rf"^row {i + 1}, column 'v{j}': "
+        lines[i] = ",".join(cells)
+        with pytest.raises(ValueError, match=expected):
+            load_dataset(io.StringIO(render(lines)))
 
 
 class TestDatasetValidation:

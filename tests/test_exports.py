@@ -1,0 +1,12 @@
+"""Every name a module exports resolves."""
+import pytest
+
+import coptree
+import coptree.cli
+
+
+@pytest.mark.parametrize("module", [coptree, coptree.cli], ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

@@ -277,6 +277,9 @@ class TestWeightMatrix:
             weight_matrix(data, "kendall")
         with pytest.raises(ValueError, match="lattice order"):
             weight_matrix(data, "mi_cell", lattice_order=31)
+        for order in (-3, 1, 31):
+            with pytest.raises(ValueError, match="lattice order"):
+                weight_matrix(data, "rho_abs", lattice_order=order)
         with pytest.raises(ValueError, match="symmetric"):
             WeightMatrix(
                 names=("a", "b"),
