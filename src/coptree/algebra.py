@@ -6,6 +6,11 @@ and products of densities over disjoint variable blocks.  The sampler
 draws correlated uniforms via a Cholesky factor and the standard normal
 CDF, and ``push_margins`` maps them through inverse marginal CDFs to build
 synthetic datasets.
+
+scipy is imported only inside the three functions that need the normal
+CDF or quantile (``PairCopula.density``, ``MarginSpec.quantile`` and
+``sample_gaussian_copula``), so importing coptree, ``learn`` and
+``measure`` never load it; ``synth`` does.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .dataset import Dataset
 
@@ -70,6 +74,8 @@ class PairCopula:
         v = _check_open_unit(v, "v")
         if self.family == "independence":
             return np.ones_like(u) if u.ndim else 1.0
+        from scipy.special import ndtri
+
         theta = self.theta
         zu = ndtri(u)
         zv = ndtri(v)
@@ -184,6 +190,8 @@ class MarginSpec:
     def quantile(self, u):
         u = _check_open_unit(u, "u")
         if self.family == "standard_normal":
+            from scipy.special import ndtri
+
             return ndtri(u)
         return -np.log1p(-u) / self.rate
 
@@ -216,6 +224,8 @@ def sample_gaussian_copula(sigma, count: int, seed: int) -> np.ndarray:
         raise ValueError(
             "sigma is not positive definite (Cholesky factorization failed)"
         ) from None
+    from scipy.special import ndtr
+
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, sigma.shape[0])) @ factor.T
     return ndtr(z)

@@ -94,12 +94,21 @@ def tree_as_dict(tree: DependenceTree) -> dict:
 
 
 def _dot_id(name: str) -> str:
-    # a DOT quoted string escapes exactly one character: the double quote
+    # A DOT quoted string escapes exactly one character, the double quote,
+    # so a trailing backslash would escape the closing quote whatever
+    # precedes it: no quoting can express such a name.
+    if name.endswith("\\"):
+        raise ValueError(
+            f"column {name!r} ends in a backslash, which DOT cannot quote"
+        )
     return '"' + name.replace('"', '\\"') + '"'
 
 
 def tree_as_dot(tree: DependenceTree) -> str:
-    """Undirected DOT graph with 4-decimal edge weight labels."""
+    """Undirected DOT graph with 4-decimal edge weight labels.
+
+    Raises ValueError for a node name that ends in a backslash.
+    """
     lines = ["graph deptree {"]
     for e in tree.edges:
         lines.append(f'  {_dot_id(e.u)} -- {_dot_id(e.v)} [label="{e.weight:.4f}"];')
@@ -116,12 +125,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
         tie_seed=args.tie_seed,
     )
     payload = json.dumps(tree_as_dict(tree), indent=2) + "\n"
+    dot = tree_as_dot(tree) if args.dot else None  # may refuse: write nothing yet
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(payload)
-    if args.dot:
+    if dot is not None:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(tree_as_dot(tree))
+            handle.write(dot)
     if not args.json and not args.dot:
         sys.stdout.write(payload)
     return 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +125,69 @@ def load_dataset(source) -> Dataset:
         a ragged row, duplicate column names, or fewer than 2 rows/columns.
         "row i" is the i-th data row: the header and blank lines are not
         counted.
+
+    Notes
+    -----
+    A path or a seekable stream is first parsed by ``np.loadtxt``, which
+    streams the body from the open handle.  Whenever that fast path cannot
+    vouch for the result (a quote in the header, a cell or line it rejects,
+    a field count other than the header's, no data rows), the file is
+    reopened, or the stream rewound to where it started, and parsed again
+    by the validating parser; other streams go to that parser directly.
+    Both paths give bit-identical values and the same error messages.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+            parsed = _fast_parse(handle)
+        if parsed is not None:
+            return Dataset(*parsed)
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return _parse_csv(handle)
+    start = _start_position(source)
+    if start is not None:
+        parsed = _fast_parse(source)
+        if parsed is not None:
+            return Dataset(*parsed)
+        source.seek(start)
     return _parse_csv(source)
+
+
+def _start_position(stream):
+    # where a seekable stream can be rewound to, or None
+    seekable = getattr(stream, "seekable", None)
+    if seekable is None or not seekable():
+        return None
+    try:
+        return stream.tell()
+    except OSError:  # a text file being iterated with next() cannot tell
+        return None
+
+
+def _fast_parse(handle):
+    """(columns, values) of a CSV stream parsed by ``np.loadtxt``.
+
+    None where only :func:`_parse_csv` can tell what the text means: a
+    quote in the header (csv may join lines there), a line or cell loadtxt
+    rejects, no data rows (loadtxt warns), or a field count other than the
+    header's.  Every cell loadtxt accepts, ``float`` accepts with the same
+    bits, so whatever this returns, ``_parse_csv`` returns too.
+    """
+    line = handle.readline()
+    if '"' in line:
+        return None
+    try:
+        header = next(csv.reader([line]), [])
+    except csv.Error:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if values.shape[1] != len(header):
+        return None
+    return tuple(name.strip() for name in header), values
 
 
 def _parse_csv(handle) -> Dataset:

@@ -131,6 +131,19 @@ class TestLearn:
         assert main(["learn", "--input", str(path), "--dot", str(dot)]) == 0
         assert dot.read_text().splitlines()[1].startswith('  "a" -- "b\\"q" [')
 
+    def test_dot_refuses_name_ending_in_backslash(self, tmp_path, capsys):
+        # in a DOT quoted string "a\" the backslash escapes the closing quote
+        path = tmp_path / "slash.csv"
+        path.write_text("a\\,b\n1,2\n3,4\n2,2\n")
+        out, dot = tmp_path / "tree.json", tmp_path / "tree.dot"
+        assert main(["learn", "--input", str(path), "--json", str(out),
+                     "--dot", str(dot)]) == 1
+        assert capsys.readouterr().err == (
+            "error: column 'a\\\\' ends in a backslash, which DOT cannot quote\n"
+        )
+        assert not out.exists() and not dot.exists()
+        assert main(["learn", "--input", str(path), "--json", str(out)]) == 0
+
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,x\n3,4\n")

@@ -1,11 +1,14 @@
 """Loader validation and rank-transform behaviour."""
+import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coptree import Dataset, RankMatrix, column_ranks, load_dataset, rank_transform
+from coptree.dataset import _fast_parse, _parse_csv
 
 
 def make_dataset(values, names=None):
@@ -102,6 +105,123 @@ class TestLoadDataset:
         lines[i] = ",".join(cells)
         with pytest.raises(ValueError, match=expected):
             load_dataset(io.StringIO(render(lines)))
+
+
+def outcome(read):
+    """What a load gives: columns, shape and raw bytes (so -0.0 differs from
+    0.0), or the error's type and message."""
+    try:
+        data = read()
+    except (ValueError, csv.Error) as error:
+        return type(error), str(error)
+    return data.columns, data.values.shape, data.values.tobytes()
+
+
+# Cells the fast path must either parse exactly as float() does or hand to
+# the validating parser: spaces, signed zeros, specials, underscores,
+# comments, non-ASCII digits and whitespace, quotes, empty and junk cells.
+ODD_CELLS = ["-0.0", " 1.5 ", "\t2", "3\u3000", "\xa04", "nan", "-inf", "Infinity",
+             "1e400", "1_0", "nan(1)", "#1", "#", "\u0661", "", "x", "1.", ".5",
+             '"7"', '"1,5"', "\ufeff1"]
+
+
+class TestIngestFastPath:
+    @pytest.mark.parametrize("cell, parsed", [
+        ("1_0", 10.0), ("\u0661", 1.0), ("nan(1)", None), ("#1", None), ("#", None),
+    ])
+    def test_loadtxt_rejects_what_float_may_accept(self, cell, parsed):
+        text = f"a,b\n{cell},1\n2,3\n"
+        assert _fast_parse(io.StringIO(text)) is None
+        if parsed is None:
+            with pytest.raises(ValueError, match=rf"^row 1, column 'a': cannot parse"):
+                load_dataset(io.StringIO(text))
+        else:
+            assert load_dataset(io.StringIO(text)).values[0, 0] == parsed
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n",  # header only: loadtxt warns
+        "a\n",
+        "a,b\n1,2\n   \n3,4\n",  # whitespace-only line: csv skips it
+        '"a",b\n1,2\n3,4\n',  # a quote in the header
+        "a,b\n1,2,3\n4,5,6\n",  # every row has a field the header lacks
+    ])
+    def test_falls_back_where_loadtxt_cannot_tell(self, text):
+        assert _fast_parse(io.StringIO(text)) is None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = outcome(lambda: load_dataset(io.StringIO(text)))
+        assert caught == []
+        assert got == outcome(lambda: _parse_csv(io.StringIO(text)))
+
+    def test_plain_files_take_the_fast_path(self):
+        text = "\ufeffa, b\r\n 1 ,-0.0\r\n\r\nInfinity,2\r\n3,4"
+        columns, values = _fast_parse(io.StringIO(text))
+        assert columns == ("\ufeffa", "b")
+        assert values.tobytes() == np.array([[1, -0.0], [np.inf, 2], [3, 4]]).tobytes()
+
+    def test_rewinds_a_stream_to_where_it_started(self):
+        stream = io.StringIO("skip me\na,b\n1,2\n   \n3,4\n")
+        stream.readline()
+        assert load_dataset(stream).values.tolist() == [[1, 2], [3, 4]]
+
+    def test_stream_that_cannot_tell_uses_the_validating_parser(self, tmp_path):
+        path = tmp_path / "skip.csv"
+        path.write_text("skip me\na,b\n1,2\n   \n3,4\n")
+        with open(path, newline="") as handle:
+            next(handle)  # a text file iterated with next() refuses tell()
+            assert load_dataset(handle).values.tolist() == [[1, 2], [3, 4]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_validating_parser(self, data, tmp_path_factory):
+        n = data.draw(st.integers(1, 4), label="columns")
+        t = data.draw(st.integers(0, 5), label="rows")
+        rarely = st.sampled_from([True] + [False] * 5)  # most tables stay plain
+        names = [f"c{j}" for j in range(n)]
+        if data.draw(st.booleans(), label="spaced header"):
+            names = [f" {name} " for name in names]
+        if data.draw(rarely, label="quoted header"):
+            names[0] = data.draw(st.sampled_from(['"c0,q"', '"c0\nq"', '"c0\r\n1"']))
+        if n > 1 and data.draw(rarely, label="short header"):
+            names.pop()
+        cell = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        if data.draw(rarely, label="odd cells"):
+            cell = st.one_of(cell, st.sampled_from(ODD_CELLS))
+        rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                  min_size=t, max_size=t), label="cells")
+        if rows and data.draw(rarely, label="quoted comma column"):
+            j = data.draw(st.integers(0, n - 1))
+            for row in rows:
+                row[j] = '"1,5"'
+        lines = [",".join(row) for row in rows]
+        if lines and data.draw(rarely, label="ragged"):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            short = n > 1 and data.draw(st.booleans(), label="short row")
+            lines[i] = ",".join(rows[i][:-1]) if short else lines[i] + ",0"
+        for _ in range(data.draw(st.integers(0, 3), label="extra lines")):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, "\t " if data.draw(rarely, label="whitespace line") else "")
+        bom = "\ufeff" if data.draw(st.booleans(), label="bom") else ""
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+        text = bom + end.join([",".join(names)] + lines)
+        if data.draw(st.booleans(), label="final line end"):
+            text += end
+
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def opened():
+            return open(path, "r", encoding="utf-8-sig", newline="")
+
+        for make, source in ((lambda: io.StringIO(text), lambda: io.StringIO(text)),
+                             (opened, lambda: path)):
+            with make() as handle:
+                expected = outcome(lambda: _parse_csv(handle))
+            with make() as handle:
+                fast = _fast_parse(handle)
+            if fast is not None:
+                assert outcome(lambda: Dataset(*fast)) == expected
+            assert outcome(lambda: load_dataset(source())) == expected
 
 
 class TestDatasetValidation:
