@@ -128,13 +128,12 @@ def load_dataset(source) -> Dataset:
 
     Notes
     -----
-    A path or a seekable stream is first parsed by ``np.loadtxt``, which
-    streams the body from the open handle.  Whenever that fast path cannot
-    vouch for the result (a quote in the header, a cell or line it rejects,
-    a field count other than the header's, no data rows), the file is
-    reopened, or the stream rewound to where it started, and parsed again
-    by the validating parser; other streams go to that parser directly.
-    Both paths give bit-identical values and the same error messages.
+    A path is first parsed by ``np.loadtxt``, which streams the body from
+    the open file.  Whenever that fast path cannot vouch for the result (a
+    quote in the header, a cell or line it rejects, a field count other
+    than the header's, no data rows), the file is reopened and parsed again
+    by the validating parser, so a path gives the same values and error
+    messages either way.  A stream always goes to the validating parser.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
@@ -143,24 +142,7 @@ def load_dataset(source) -> Dataset:
             return Dataset(*parsed)
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             return _parse_csv(handle)
-    start = _start_position(source)
-    if start is not None:
-        parsed = _fast_parse(source)
-        if parsed is not None:
-            return Dataset(*parsed)
-        source.seek(start)
     return _parse_csv(source)
-
-
-def _start_position(stream):
-    # where a seekable stream can be rewound to, or None
-    seekable = getattr(stream, "seekable", None)
-    if seekable is None or not seekable():
-        return None
-    try:
-        return stream.tell()
-    except OSError:  # a text file being iterated with next() cannot tell
-        return None
 
 
 def _fast_parse(handle):
@@ -170,7 +152,9 @@ def _fast_parse(handle):
     quote in the header (csv may join lines there), a line or cell loadtxt
     rejects, no data rows (loadtxt warns), or a field count other than the
     header's.  Every cell loadtxt accepts, ``float`` accepts with the same
-    bits, so whatever this returns, ``_parse_csv`` returns too.
+    bits.  loadtxt ends a line at any of LF, CR and CRLF, so for a handle
+    opened with ``newline=""``, which splits lines the same way for csv,
+    whatever this returns, ``_parse_csv`` returns too.
     """
     line = handle.readline()
     if '"' in line:

@@ -129,14 +129,16 @@ class TestIngestFastPath:
     @pytest.mark.parametrize("cell, parsed", [
         ("1_0", 10.0), ("\u0661", 1.0), ("nan(1)", None), ("#1", None), ("#", None),
     ])
-    def test_loadtxt_rejects_what_float_may_accept(self, cell, parsed):
+    def test_loadtxt_rejects_what_float_may_accept(self, cell, parsed, tmp_path):
         text = f"a,b\n{cell},1\n2,3\n"
         assert _fast_parse(io.StringIO(text)) is None
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
         if parsed is None:
             with pytest.raises(ValueError, match=rf"^row 1, column 'a': cannot parse"):
-                load_dataset(io.StringIO(text))
+                load_dataset(path)
         else:
-            assert load_dataset(io.StringIO(text)).values[0, 0] == parsed
+            assert load_dataset(path).values[0, 0] == parsed
 
     @pytest.mark.parametrize("text", [
         "a,b\n",  # header only: loadtxt warns
@@ -145,11 +147,13 @@ class TestIngestFastPath:
         '"a",b\n1,2\n3,4\n',  # a quote in the header
         "a,b\n1,2,3\n4,5,6\n",  # every row has a field the header lacks
     ])
-    def test_falls_back_where_loadtxt_cannot_tell(self, text):
+    def test_falls_back_where_loadtxt_cannot_tell(self, text, tmp_path):
         assert _fast_parse(io.StringIO(text)) is None
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = outcome(lambda: load_dataset(io.StringIO(text)))
+            got = outcome(lambda: load_dataset(path))
         assert caught == []
         assert got == outcome(lambda: _parse_csv(io.StringIO(text)))
 
@@ -159,17 +163,21 @@ class TestIngestFastPath:
         assert columns == ("\ufeffa", "b")
         assert values.tobytes() == np.array([[1, -0.0], [np.inf, 2], [3, 4]]).tobytes()
 
-    def test_rewinds_a_stream_to_where_it_started(self):
-        stream = io.StringIO("skip me\na,b\n1,2\n   \n3,4\n")
-        stream.readline()
-        assert load_dataset(stream).values.tolist() == [[1, 2], [3, 4]]
-
-    def test_stream_that_cannot_tell_uses_the_validating_parser(self, tmp_path):
-        path = tmp_path / "skip.csv"
-        path.write_text("skip me\na,b\n1,2\n   \n3,4\n")
-        with open(path, newline="") as handle:
-            next(handle)  # a text file iterated with next() refuses tell()
-            assert load_dataset(handle).values.tolist() == [[1, 2], [3, 4]]
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\r3,4\n",  # LF after the header, a bare CR in the body
+        "a,b\r\n1,2\r3,4\n5,6\r\n",
+        "a,b\r1,2\n\r3,4\r\n",
+    ])
+    def test_mixed_line_ends_parse_alike(self, text, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            columns, values = _fast_parse(handle)
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            expected = _parse_csv(handle)
+        assert columns == expected.columns
+        assert values.tobytes() == expected.values.tobytes()
+        assert load_dataset(path).values.tobytes() == expected.values.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -202,10 +210,16 @@ class TestIngestFastPath:
             at = data.draw(st.integers(0, len(lines)))
             lines.insert(at, "\t " if data.draw(rarely, label="whitespace line") else "")
         bom = "\ufeff" if data.draw(st.booleans(), label="bom") else ""
-        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
-        text = bom + end.join([",".join(names)] + lines)
-        if data.draw(st.booleans(), label="final line end"):
-            text += end
+        ending = st.sampled_from(["\n", "\r\n", "\r"])
+        if data.draw(rarely, label="mixed line ends"):
+            ends = data.draw(st.lists(ending, min_size=len(lines) + 1,
+                                      max_size=len(lines) + 1))
+        else:
+            ends = [data.draw(ending, label="line end")] * (len(lines) + 1)
+        text = bom + "".join(line + end for line, end in
+                             zip([",".join(names)] + lines, ends))
+        if not data.draw(st.booleans(), label="final line end"):
+            text = text[:-len(ends[-1])]
 
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -213,15 +227,15 @@ class TestIngestFastPath:
         def opened():
             return open(path, "r", encoding="utf-8-sig", newline="")
 
-        for make, source in ((lambda: io.StringIO(text), lambda: io.StringIO(text)),
-                             (opened, lambda: path)):
-            with make() as handle:
-                expected = outcome(lambda: _parse_csv(handle))
+        with opened() as handle:
+            expected = outcome(lambda: _parse_csv(handle))
+        assert outcome(lambda: load_dataset(path)) == expected
+        # newline="" makes a stream split lines the way an opened file does
+        for make in (opened, lambda: io.StringIO(text.removeprefix("\ufeff"), newline="")):
             with make() as handle:
                 fast = _fast_parse(handle)
             if fast is not None:
                 assert outcome(lambda: Dataset(*fast)) == expected
-            assert outcome(lambda: load_dataset(source())) == expected
 
 
 class TestDatasetValidation:
