@@ -123,6 +123,10 @@ def load_dataset(source) -> Dataset:
     ValueError
         On a non-numeric or non-finite cell (reported with row and column),
         a ragged row, duplicate column names, or fewer than 2 rows/columns.
+        Also on a record the csv reader rejects, such as a cell longer
+        than its field limit (131072 characters) or, in a stream opened
+        without ``newline=""``, a bare CR inside a line; the message is
+        "row i: ..." or "header row: ..." followed by the csv reader's.
         "row i" is the i-th data row: the header and blank lines are not
         counted.
 
@@ -182,26 +186,32 @@ def _parse_csv(handle) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise ValueError("empty input: missing header row") from None
+    except csv.Error as error:
+        raise ValueError(f"header row: {error}") from None
     columns = tuple(name.strip() for name in header)
     n = len(columns)
     rows = []
-    for record in reader:
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue  # ignore blank lines
-        i = len(rows) + 1
-        if len(record) != n:
-            raise ValueError(f"row {i}: expected {n} fields, got {len(record)}")
-        try:
-            rows.append([float(cell) for cell in record])
-        except ValueError:
-            for j, cell in enumerate(record):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"row {i}, column {columns[j]!r}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
+    try:
+        for record in reader:
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue  # ignore blank lines
+            i = len(rows) + 1
+            if len(record) != n:
+                raise ValueError(f"row {i}: expected {n} fields, got {len(record)}")
+            try:
+                rows.append([float(cell) for cell in record])
+            except ValueError:
+                for j, cell in enumerate(record):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"row {i}, column {columns[j]!r}: "
+                            f"cannot parse {cell.strip()!r} as a number"
+                        ) from None
+    except csv.Error as error:
+        # the record being read when csv failed is data row len(rows) + 1
+        raise ValueError(f"row {len(rows) + 1}: {error}") from None
     return Dataset(columns, np.array(rows, dtype=float).reshape(len(rows), n))
 
 

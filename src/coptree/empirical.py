@@ -82,14 +82,19 @@ def _check_order(order: int, sample_count: int, dim: int) -> None:
         )
 
 
+def _cell_indices(ranks: np.ndarray, order: int) -> np.ndarray:
+    """0-based order-K cell index ceil(r*K/T) - 1 of every entry of a T x N
+    rank array, in exact integer arithmetic."""
+    return -((-ranks * order) // ranks.shape[0]) - 1
+
+
 def _cell_counts(ranks: np.ndarray, order: int) -> np.ndarray:
     """Integer sample counts of the order-K lattice cells, shape (K,)*N.
 
     ``ranks`` is a T x N array whose columns are permutations of 1..T.
     """
     t, n = ranks.shape
-    # 0-based cell index ceil(r*K/T) - 1 in exact integer arithmetic
-    cells = -((-ranks * order) // t) - 1
+    cells = _cell_indices(ranks, order)
     flat = np.ravel_multi_index(tuple(cells.T), (order,) * n)
     return np.bincount(flat, minlength=order**n).reshape((order,) * n)
 

@@ -6,6 +6,9 @@ rank products, so no grid is materialized.  Mutual information is the
 plug-in KL divergence of the order-K lattice cell masses from a product of
 margins: the grid's observed row and column sums ("mi_cell"), or the
 nominal 1/K margins of a copula ("mi_kde").  Both depend on ranks only.
+:func:`weight_matrix` counts the cells of every column pair for the MI
+measures in one counting pass per column; rho_abs is still evaluated one
+pair at a time through :func:`spearman_rho`.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 """
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, column_ranks
-from .empirical import _cell_counts, default_lattice_order
+from .empirical import _cell_counts, _cell_indices, default_lattice_order
 
 __all__ = [
     "MEASURES",
@@ -28,6 +31,10 @@ __all__ = [
 ]
 
 MEASURES = ("rho_abs", "mi_cell", "mi_kde")
+
+# Elements per counting block of _mi_weights: bounds both the
+# (columns x T) cell-index block and its (columns x K^2) count vector.
+_MAX_BLOCK_CELLS = 2**20
 
 
 def _check_rank_column(r: np.ndarray, name: str) -> np.ndarray:
@@ -199,6 +206,40 @@ def mutual_info_kde(
     return float(w.values[0, 1])
 
 
+def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.ndarray:
+    """Symmetric N x N lattice MI of every column pair of a T x N rank array.
+
+    Each pair's K x K cell counts come from one ``np.bincount`` per column
+    i over the columns j > i, taken in blocks of at most
+    ``_MAX_BLOCK_CELLS`` elements: block column j adds the pair's cell
+    index cell_i * K + cell_j to a (j - lo) * K^2 offset, so the pairs'
+    grids lie side by side in one count vector.  The MI of each grid is
+    then summed by :func:`_plugin_mi` exactly as for a single pair, against
+    the observed margins or the nominal 1/K ones.
+    """
+    t, n = ranks.shape
+    cells = _cell_indices(ranks, order).T.copy()
+    area = order * order
+    width = max(1, _MAX_BLOCK_CELLS // max(t, area))
+    uniform = np.full(order, 1.0 / order)
+    values = np.zeros((n, n))
+    for i in range(n - 1):
+        row = cells[i] * order
+        for lo in range(i + 1, n, width):
+            hi = min(lo + width, n)
+            flat = cells[lo:hi] + row
+            flat += np.arange(0, (hi - lo) * area, area)[:, np.newaxis]
+            counts = np.bincount(flat.ravel(), minlength=(hi - lo) * area)
+            for j, grid in enumerate(counts.reshape(-1, order, order), start=lo):
+                m = grid / t
+                if observed_margins:
+                    w = _plugin_mi(m, m.sum(axis=1), m.sum(axis=0))
+                else:
+                    w = _plugin_mi(m, uniform, uniform)
+                values[i, j] = values[j, i] = w
+    return values
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """Symmetric N x N matrix of pairwise dependence weights.
@@ -222,6 +263,8 @@ class WeightMatrix:
         signed = np.asarray(self.signed, dtype=float)
         if values.shape != (n, n) or signed.shape != (n, n):
             raise ValueError(f"weight matrices must have shape {(n, n)}")
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(signed))):
+            raise ValueError("weights must be finite")
         if np.abs(values - values.T).max(initial=0.0) > 1e-12:
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diag(values) != 0.0):
@@ -265,6 +308,11 @@ def weight_matrix(
         two heavily tied columns inherit spurious dependence from shared
         row ordering.
 
+    For the MI measures the cells of every pair are counted in one pass
+    per column (see :func:`_mi_weights`), and the weights equal the
+    single-pair functions' bit for bit; rho_abs calls
+    :func:`spearman_rho` once per pair.
+
     The result is deterministic for fixed inputs and independent of the
     order pairs are evaluated in.
     """
@@ -278,21 +326,15 @@ def weight_matrix(
     if measure == "mi_kde" and np.any(np.ptp(data.values, axis=0) == 0):
         raise ValueError("degenerate column: zero variance")
     ranks = column_ranks(data.values, tie_break, tie_seed)
-    values = np.zeros((n, n))
-    signed = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if measure == "rho_abs":
-                rho = spearman_rho(ranks[:, i], ranks[:, j])
-                w, s = abs(rho), rho
-            elif measure == "mi_cell":
-                w = s = mutual_info_cell(ranks[:, i], ranks[:, j], lattice_order)
-            else:
-                uniform = np.full(lattice_order, 1.0 / lattice_order)
-                m = _cell_counts(ranks[:, [i, j]], lattice_order) / t
-                w = s = _plugin_mi(m, uniform, uniform)
-            values[i, j] = values[j, i] = w
-            signed[i, j] = signed[j, i] = s
+    if measure == "rho_abs":
+        signed = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                signed[i, j] = signed[j, i] = spearman_rho(ranks[:, i], ranks[:, j])
+        values = np.abs(signed)
+    else:
+        values = _mi_weights(ranks, lattice_order, measure == "mi_cell")
+        signed = values.copy()
     return WeightMatrix(
         names=data.columns,
         measure=measure,

@@ -74,6 +74,22 @@ def uniform_margin_mi(ranks: np.ndarray, order: int) -> float:
     return total / t
 
 
+def observed_margin_mi(ranks: np.ndarray, order: int) -> float:
+    """Plug-in MI of a T x 2 rank array against its observed margins: the
+    sum over occupied cells of m_ij ln(m_ij / (m_i. m_.j)), term by term,
+    with the cell counts of ``direct_bin_counts``."""
+    t = ranks.shape[0]
+    counts = direct_bin_counts(ranks, order)
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    total = 0.0
+    for a in range(order):
+        for b in range(order):
+            c = int(counts[a, b])
+            if c:
+                total += c / t * math.log(c * t / (int(rows[a]) * int(cols[b])))
+    return total
+
+
 def naive_spearman(rank_x, rank_y) -> float:
     """The O(T^2) lattice double sum: (12/(T^2-1)) * sum over all lattice
     points of (C_hat(t1/T, t2/T) - t1*t2/T^2)."""

@@ -151,6 +151,13 @@ class TestLearn:
         err = capsys.readouterr().err
         assert "row 1" in err and "'b'" in err
 
+    def test_overlong_cell_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n1,2\n3," + "x" * 131073 + "\n")
+        assert main(["learn", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 2: field larger than field limit")
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["learn", "--input", str(tmp_path / "nope.csv")]) == 1
 

@@ -54,6 +54,14 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="not finite"):
             load_dataset(io.StringIO("a,b\n1,inf\n3,4\n"))
 
+    def test_csv_errors_become_value_errors(self):
+        # StringIO's default newline splits lines only at LF, so csv sees
+        # the bare CRs inside one record
+        with pytest.raises(ValueError, match=r"^header row: new-line character"):
+            load_dataset(io.StringIO("a,b\r1,2\r3,4\r"))
+        with pytest.raises(ValueError, match=r"^row 2: new-line character"):
+            load_dataset(io.StringIO("a,b\n1,2\n\n3,4\r5,6\n"))
+
     def test_blank_lines_ignored(self):
         data = load_dataset(io.StringIO("a,b\n1,2\n\n3,4\n\n"))
         assert data.sample_count == 2

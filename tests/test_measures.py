@@ -2,6 +2,7 @@
 pairwise weight matrix."""
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from coptree import (
     KernelDensity,
     WeightMatrix,
     column_ranks,
+    default_lattice_order,
     load_synthetic_spec,
     generate_synthetic,
     mutual_info_cell,
@@ -20,7 +22,8 @@ from coptree import (
     spearman_rho,
     weight_matrix,
 )
-from oracles import naive_spearman, uniform_margin_mi
+from coptree import measures
+from oracles import naive_spearman, observed_margin_mi, uniform_margin_mi
 
 
 class TestSpearmanRho:
@@ -296,3 +299,76 @@ class TestWeightMatrix:
                 values=np.array([[0.0, -1.0], [-1.0, 0.0]]),
                 signed=np.zeros((2, 2)),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        weights = np.array([[0.0, bad], [bad, 0.0]])
+        for values, signed in ((weights, np.zeros((2, 2))), (np.zeros((2, 2)), weights)):
+            with pytest.raises(ValueError, match="finite"):
+                WeightMatrix(names=("a", "b"), measure="mi_cell", lattice_order=2,
+                             values=values, signed=signed)
+
+
+class TestBulkMiWeights:
+    """The MI measures count every pair's cells in one pass per column."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_oracles(self, data):
+        n = data.draw(st.integers(2, 5), label="N")
+        t = data.draw(st.integers(2, 40), label="T")
+        order = data.draw(st.one_of(st.just(2), st.just(t), st.integers(2, t)), label="K")
+        levels = data.draw(st.integers(2, 2 * t), label="levels")
+        budget = data.draw(st.sampled_from([1, t, 3 * max(t, order * order), 2**20]),
+                           label="block budget")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        # few levels give heavily tied columns; rows 0 and 1 keep every
+        # column's variance positive for mi_kde
+        values = rng.integers(0, levels, size=(t, n)).astype(float)
+        values[0], values[1] = -1.0, levels
+        table = Dataset(columns=tuple(f"c{j}" for j in range(n)), values=values)
+        ranks = column_ranks(values, "random", 0)
+        with mock.patch.object(measures, "_MAX_BLOCK_CELLS", budget):
+            cell = weight_matrix(table, "mi_cell", order)
+            kde = weight_matrix(table, "mi_kde", order)
+        for i, j in itertools.combinations(range(n), 2):
+            pair = ranks[:, [i, j]]
+            assert abs(cell.values[i, j] - observed_margin_mi(pair, order)) <= 1e-12
+            assert abs(kde.values[i, j] - uniform_margin_mi(pair, order)) <= 1e-12
+        for w in (cell, kde):
+            assert np.array_equal(w.values, w.values.T)
+            assert np.array_equal(w.values, w.signed)
+
+    @staticmethod
+    def _per_pair(ranks, measure, order):
+        n = ranks.shape[1]
+        expected = np.zeros((n, n))
+        for i, j in itertools.combinations(range(n), 2):
+            if measure == "mi_cell":
+                value = mutual_info_cell(ranks[:, i], ranks[:, j], order)
+            else:
+                # ranking a permutation returns it, so the pair keeps the
+                # table's tie order
+                value = mutual_info_kde(ranks[:, i], ranks[:, j], order)
+            expected[i, j] = expected[j, i] = value
+        return expected
+
+    # budget 1600 gives blocks of 3 columns on housing (T=506) and of 1 on
+    # the tied table (T=3000); 7000 gives 13 and 2
+    @pytest.mark.parametrize("budget", [None, 1600, 7000])
+    @pytest.mark.parametrize("measure", ["mi_cell", "mi_kde"])
+    def test_bit_identical_to_per_pair_calls(self, housing, measure, budget):
+        rng = np.random.default_rng(21)
+        mixed = rng.standard_normal((3000, 7)) @ rng.standard_normal((7, 7))
+        tied = Dataset(columns=tuple("abcdefg"), values=np.round(mixed, 0))
+        for table in (housing, tied):
+            order = default_lattice_order(table.sample_count)
+            for tie_seed in (0, 1):
+                ranks = column_ranks(table.values, "random", tie_seed)
+                expected = self._per_pair(ranks, measure, order)
+                with mock.patch.object(
+                    measures, "_MAX_BLOCK_CELLS", budget or measures._MAX_BLOCK_CELLS
+                ):
+                    w = weight_matrix(table, measure, tie_seed=tie_seed)
+                assert np.array_equal(w.values, expected)
