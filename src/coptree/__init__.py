@@ -9,16 +9,11 @@ spanning dependence tree over all variables.
 from .algebra import (
     CopulaBlock,
     MarginSpec,
-    MixtureCopulaDensity,
     PairCopula,
-    ProductCopulaDensity,
     SyntheticSpec,
     block_correlation,
     generate_synthetic,
     load_synthetic_spec,
-    mixture_density,
-    pair_copula_density,
-    product_density,
     push_margins,
     sample_gaussian_copula,
 )
@@ -57,9 +52,7 @@ __all__ = [
     "KernelDensity",
     "MEASURES",
     "MarginSpec",
-    "MixtureCopulaDensity",
     "PairCopula",
-    "ProductCopulaDensity",
     "RankMatrix",
     "SyntheticSpec",
     "TreeEdge",
@@ -76,11 +69,8 @@ __all__ = [
     "load_dataset",
     "load_synthetic_spec",
     "maximum_spanning_tree",
-    "mixture_density",
     "mutual_info_cell",
     "mutual_info_kde",
-    "pair_copula_density",
-    "product_density",
     "push_margins",
     "rank_transform",
     "sample_gaussian_copula",

@@ -1,11 +1,10 @@
-"""Evaluable copula densities and a seeded Gaussian-copula sampler.
+"""Closed-form pair copulas and seeded synthetic data.
 
-Two closed-form pair copulas (independence and Gaussian) plus two
-composition rules: convex mixtures of densities over the same variables,
-and products of densities over disjoint variable blocks.  The sampler
-draws correlated uniforms via a Cholesky factor and the standard normal
-CDF, and ``push_margins`` maps them through inverse marginal CDFs to build
-synthetic datasets.
+``PairCopula`` evaluates the independence and Gaussian copula densities.
+The sampler draws correlated uniforms via a Cholesky factor and the
+standard normal CDF, and ``push_margins`` maps them through inverse
+marginal CDFs.  A synthetic spec (``load_synthetic_spec``) names the
+copula blocks and margins that ``generate_synthetic`` combines.
 
 scipy is imported only inside the three functions that need the normal
 CDF or quantile (``PairCopula.density``, ``MarginSpec.quantile`` and
@@ -15,6 +14,7 @@ CDF or quantile (``PairCopula.density``, ``MarginSpec.quantile`` and
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -24,14 +24,9 @@ from .dataset import Dataset
 
 __all__ = [
     "PairCopula",
-    "MixtureCopulaDensity",
-    "ProductCopulaDensity",
     "MarginSpec",
     "CopulaBlock",
     "SyntheticSpec",
-    "pair_copula_density",
-    "mixture_density",
-    "product_density",
     "sample_gaussian_copula",
     "push_margins",
     "load_synthetic_spec",
@@ -48,6 +43,28 @@ def _check_open_unit(u, name: str):
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return u
+
+
+def _get(raw, key: str, where: str):
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in raw:
+        raise ValueError(f"{where} is missing key {key!r}")
+    return raw[key]
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def _integer(value, field: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -84,92 +101,6 @@ class PairCopula:
         result = np.exp(exponent / (2.0 * denom)) / np.sqrt(denom)
         return float(result) if result.ndim == 0 else result
 
-    def block_density(self, u):
-        """Adapter for block evaluators: density of a length-2 point."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (2,):
-            raise ValueError(f"pair copula expects a length-2 point, got {u.shape}")
-        return float(self.density(u[0], u[1]))
-
-
-def pair_copula_density(copula: PairCopula, u, v):
-    """Module-level alias of :meth:`PairCopula.density`."""
-    return copula.density(u, v)
-
-
-@dataclass(frozen=True)
-class MixtureCopulaDensity:
-    """Convex combination of copula densities over the same variables."""
-
-    components: tuple
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        components = tuple(self.components)
-        weights = tuple(float(w) for w in self.weights)
-        if not components:
-            raise ValueError("mixture needs at least one component")
-        if len(weights) != len(components):
-            raise ValueError(
-                f"{len(weights)} weights for {len(components)} components"
-            )
-        if any(w < 0.0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)}")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "weights", weights)
-
-    def density(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(
-            sum(w * f(u) for w, f in zip(self.weights, self.components))
-        )
-
-
-def mixture_density(mixture: MixtureCopulaDensity, u) -> float:
-    """Module-level alias of :meth:`MixtureCopulaDensity.density`."""
-    return mixture.density(u)
-
-
-@dataclass(frozen=True)
-class ProductCopulaDensity:
-    """Product of copula densities over disjoint blocks of variables.
-
-    ``blocks`` is a sequence of (indices, evaluator) pairs where the
-    0-based indices must partition range(dim) and each evaluator maps the
-    point restricted to its block to a density value.  A tree of
-    bivariate blocks is the graphical-model case.
-    """
-
-    dim: int
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple((tuple(idx), f) for idx, f in self.blocks)
-        seen = [i for idx, _ in blocks for i in idx]
-        if sorted(seen) != list(range(self.dim)):
-            raise ValueError(
-                f"blocks must partition 0..{self.dim - 1} exactly, got {sorted(seen)}"
-            )
-        if any(len(idx) == 0 for idx, _ in blocks):
-            raise ValueError("blocks must be nonempty")
-        object.__setattr__(self, "blocks", blocks)
-
-    def density(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ValueError(f"point must have length {self.dim}, got {u.shape}")
-        result = 1.0
-        for idx, f in self.blocks:
-            result *= float(f(u[list(idx)]))
-        return result
-
-
-def product_density(product: ProductCopulaDensity, u) -> float:
-    """Module-level alias of :meth:`ProductCopulaDensity.density`."""
-    return product.density(u)
-
 
 @dataclass(frozen=True)
 class MarginSpec:
@@ -182,7 +113,7 @@ class MarginSpec:
         if self.family not in MARGIN_FAMILIES:
             raise ValueError(f"unknown margin family {self.family!r}")
         if self.family == "exponential":
-            if self.rate is None or not self.rate > 0:
+            if not isinstance(self.rate, numbers.Real) or not self.rate > 0:
                 raise ValueError(f"exponential rate must be > 0, got {self.rate}")
         elif self.rate is not None:
             raise ValueError("standard_normal margin takes no rate")
@@ -271,13 +202,13 @@ class CopulaBlock:
     theta: float | None = None
 
     def __post_init__(self):
-        variables = tuple(int(v) for v in self.variables)
+        variables = tuple(_integer(v, "block vars") for v in self.variables)
         if not variables:
             raise ValueError("block needs at least one variable")
         if self.family not in PAIR_FAMILIES:
             raise ValueError(f"unknown block family {self.family!r}")
         if self.family == "gaussian":
-            if self.theta is None or not -1.0 < self.theta < 1.0:
+            if not isinstance(self.theta, numbers.Real) or not -1.0 < self.theta < 1.0:
                 raise ValueError(
                     f"gaussian theta must be in (-1, 1), got {self.theta}"
                 )
@@ -336,7 +267,9 @@ def load_synthetic_spec(source) -> SyntheticSpec:
          "names": ["G1", "G2", "G3", "Cn", "Ce"]}   # optional
 
     Variable indices in "vars" are 1-based and must partition 1..N,
-    where N is the number of margins.
+    where N is the number of margins.  "vars" entries, "samples" and
+    "seed" must be integers (an integral float such as 10.0 counts).
+    Raises ValueError, naming the key or field, for a malformed spec.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -345,27 +278,22 @@ def load_synthetic_spec(source) -> SyntheticSpec:
         raw = source
     else:
         raw = json.load(source)
-    if not isinstance(raw, dict):
-        raise ValueError("synthetic spec must be a JSON object")
-    try:
-        raw_blocks = raw["blocks"]
-        raw_margins = raw["margins"]
-        samples = int(raw["samples"])
-        seed = int(raw["seed"])
-    except KeyError as missing:
-        raise ValueError(f"synthetic spec is missing key {missing}") from None
-    blocks = tuple(
+    top = "synthetic spec"
+    blocks = [
         CopulaBlock(
-            variables=tuple(b["vars"]),
-            family=b["family"],
+            variables=tuple(_list(_get(b, "vars", f"blocks[{i}]"), f"blocks[{i}].vars")),
+            family=_get(b, "family", f"blocks[{i}]"),
             theta=b.get("theta"),
         )
-        for b in raw_blocks
-    )
-    margins = tuple(
-        MarginSpec(family=m["family"], rate=m.get("rate")) for m in raw_margins
-    )
-    names = tuple(raw["names"]) if "names" in raw else None
+        for i, b in enumerate(_list(_get(raw, "blocks", top), "blocks"))
+    ]
+    margins = [
+        MarginSpec(family=_get(m, "family", f"margins[{i}]"), rate=m.get("rate"))
+        for i, m in enumerate(_list(_get(raw, "margins", top), "margins"))
+    ]
+    samples = _integer(_get(raw, "samples", top), "samples")
+    seed = _integer(_get(raw, "seed", top), "seed")
+    names = tuple(_list(raw["names"], "names")) if "names" in raw else None
     return SyntheticSpec(
         blocks=blocks, margins=margins, samples=samples, seed=seed, names=names
     )

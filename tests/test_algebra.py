@@ -6,17 +6,12 @@ from scipy.special import ndtr, ndtri
 from coptree import (
     CopulaBlock,
     MarginSpec,
-    MixtureCopulaDensity,
     PairCopula,
-    ProductCopulaDensity,
     SyntheticSpec,
     block_correlation,
     column_ranks,
     generate_synthetic,
     load_synthetic_spec,
-    mixture_density,
-    pair_copula_density,
-    product_density,
     push_margins,
     sample_gaussian_copula,
     spearman_rho,
@@ -55,90 +50,6 @@ class TestPairCopula:
         with pytest.raises(ValueError, match="family"):
             PairCopula("clayton", 0.5)
 
-    def test_module_level_alias(self):
-        copula = PairCopula("gaussian", -0.4)
-        assert pair_copula_density(copula, 0.2, 0.7) == copula.density(0.2, 0.7)
-
-
-class TestMixture:
-    def test_single_component_identity(self):
-        copula = PairCopula("gaussian", 0.5)
-        mix = MixtureCopulaDensity(
-            components=(lambda u: copula.density(u[0], u[1]),), weights=(1.0,)
-        )
-        point = np.array([0.3, 0.8])
-        assert mix.density(point) == pytest.approx(copula.density(0.3, 0.8))
-
-    def test_convex_combination_of_ones(self):
-        mix = MixtureCopulaDensity(
-            components=(lambda u: 1.0, lambda u: 1.0), weights=(0.3, 0.7)
-        )
-        assert mix.density(np.array([0.1, 0.4])) == pytest.approx(1.0)
-
-    def test_half_gaussian_half_independence(self):
-        copula = PairCopula("gaussian", 0.5)
-        mix = MixtureCopulaDensity(
-            components=(lambda u: copula.density(u[0], u[1]), lambda u: 1.0),
-            weights=(0.5, 0.5),
-        )
-        expected = (GAUSS_HALF_AT_CENTER + 1.0) / 2.0
-        assert mix.density(np.array([0.5, 0.5])) == pytest.approx(expected)
-        assert mixture_density(mix, np.array([0.5, 0.5])) == pytest.approx(expected)
-
-    def test_linear_in_weights(self):
-        gauss = PairCopula("gaussian", 0.6)
-        part = lambda u: gauss.density(u[0], u[1])  # noqa: E731
-        rng = np.random.default_rng(30)
-        for w in (0.0, 0.25, 0.5, 0.9, 1.0):
-            mix = MixtureCopulaDensity(components=(part, lambda u: 1.0),
-                                       weights=(w, 1.0 - w))
-            point = rng.uniform(0.05, 0.95, size=2)
-            expected = w * part(point) + (1.0 - w) * 1.0
-            assert mix.density(point) == pytest.approx(expected, rel=1e-12)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            MixtureCopulaDensity(components=(lambda u: 1.0,), weights=(0.9,))
-        with pytest.raises(ValueError, match="nonnegative"):
-            MixtureCopulaDensity(
-                components=(lambda u: 1.0, lambda u: 1.0), weights=(1.5, -0.5)
-            )
-        with pytest.raises(ValueError, match="at least one"):
-            MixtureCopulaDensity(components=(), weights=())
-
-
-class TestProduct:
-    def test_all_independence_blocks(self):
-        product = ProductCopulaDensity(
-            dim=4, blocks=(((0, 1), lambda u: 1.0), ((2, 3), lambda u: 1.0))
-        )
-        assert product.density(np.array([0.1, 0.2, 0.3, 0.4])) == 1.0
-
-    def test_single_block_identity(self):
-        copula = PairCopula("gaussian", 0.5)
-        product = ProductCopulaDensity(dim=2, blocks=(((0, 1), copula.block_density),))
-        assert product.density(np.array([0.5, 0.5])) == pytest.approx(
-            GAUSS_HALF_AT_CENTER
-        )
-
-    def test_two_block_example(self):
-        gauss = PairCopula("gaussian", 0.5)
-        product = ProductCopulaDensity(
-            dim=4,
-            blocks=(((0, 1), gauss.block_density), ((2, 3), lambda u: 1.0)),
-        )
-        value = product.density(np.array([0.5, 0.5, 0.2, 0.8]))
-        assert value == pytest.approx(GAUSS_HALF_AT_CENTER)
-        assert product_density(product, np.array([0.5, 0.5, 0.2, 0.8])) == value
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError, match="partition"):
-            ProductCopulaDensity(dim=3, blocks=(((0, 1), lambda u: 1.0),))
-        with pytest.raises(ValueError, match="partition"):
-            ProductCopulaDensity(
-                dim=3, blocks=(((0, 1), lambda u: 1.0), ((1, 2), lambda u: 1.0))
-            )
-
 
 class TestNormalization:
     @pytest.mark.parametrize("theta", [0.0, 0.5, 0.8, -0.8])
@@ -148,16 +59,6 @@ class TestNormalization:
         uu, vv = np.meshgrid(centers, centers)
         integral = np.sum(copula.density(uu.ravel(), vv.ravel())) / 64**2
         assert abs(integral - 1.0) < 1e-2
-
-    def test_mixture_integrates_to_one(self):
-        gauss = PairCopula("gaussian", 0.5)
-        mix = MixtureCopulaDensity(
-            components=(lambda u: gauss.density(u[0], u[1]), lambda u: 1.0),
-            weights=(0.5, 0.5),
-        )
-        centers = (np.arange(64) + 0.5) / 64
-        total = sum(mix.density(np.array([u, v])) for u in centers for v in centers)
-        assert abs(total / 64**2 - 1.0) < 1e-2
 
 
 class TestNormalRoundTrip:
@@ -303,6 +204,53 @@ class TestSyntheticSpec:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
             load_synthetic_spec({"blocks": [], "margins": [], "samples": 10})
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"blocks": [{"family": "independence"}]},
+                     r"blocks\[0\] is missing key 'vars'", id="block-no-vars"),
+        pytest.param({"blocks": [5]},
+                     r"blocks\[0\] must be a JSON object", id="block-not-object"),
+        pytest.param({"blocks": [{"vars": 5, "family": "independence"}]},
+                     r"blocks\[0\]\.vars must be a list", id="vars-not-list"),
+        pytest.param({"blocks": [{"vars": [1, 2.5], "family": "independence"}]},
+                     "vars must be an integer, got 2.5", id="vars-fraction"),
+        pytest.param({"blocks": [{"vars": [1, 2], "family": "gaussian", "theta": "x"}]},
+                     "theta must be in", id="theta-string"),
+        pytest.param({"blocks": 5}, "blocks must be a list", id="blocks-not-list"),
+        pytest.param({"margins": [{"family": "standard_normal"}, {"rate": 1.0}]},
+                     r"margins\[1\] is missing key 'family'", id="margin-no-family"),
+        pytest.param({"margins": [{"family": "standard_normal"},
+                                  {"family": "exponential", "rate": "x"}]},
+                     "rate must be > 0", id="rate-string"),
+        pytest.param({"names": 5}, "names must be a list", id="names-not-list"),
+        pytest.param({"samples": 10.9}, "samples must be an integer, got 10.9",
+                     id="samples-fraction"),
+        pytest.param({"samples": "10"}, "samples must be an integer",
+                     id="samples-string"),
+        pytest.param({"seed": 10.9}, "seed must be an integer, got 10.9",
+                     id="seed-fraction"),
+        pytest.param({"seed": True}, "seed must be an integer", id="seed-bool"),
+    ])
+    def test_malformed_spec_names_the_field(self, change, message):
+        raw = {
+            "blocks": [{"vars": [1, 2], "family": "gaussian", "theta": 0.5}],
+            "margins": [{"family": "standard_normal"}] * 2,
+            "samples": 10,
+            "seed": 0,
+        }
+        with pytest.raises(ValueError, match=message):
+            load_synthetic_spec({**raw, **change})
+
+    def test_integral_floats_accepted(self):
+        spec = load_synthetic_spec({
+            "blocks": [{"vars": [1.0, 2.0], "family": "independence"}],
+            "margins": [{"family": "standard_normal"}] * 2,
+            "samples": 10.0,
+            "seed": 3.0,
+        })
+        values = (*spec.blocks[0].variables, spec.samples, spec.seed)
+        assert values == (1, 2, 10, 3)
+        assert all(type(v) is int for v in values)
 
     def test_spec_from_dict(self):
         spec = load_synthetic_spec(

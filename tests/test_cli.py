@@ -254,6 +254,18 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--output",
                      str(tmp_path / "x.csv")]) == 1
 
+    def test_malformed_spec_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "novars.json"
+        spec.write_text(json.dumps({
+            "blocks": [{"family": "independence"}],
+            "margins": [{"family": "standard_normal"}] * 2,
+            "samples": 10,
+            "seed": 0,
+        }))
+        assert main(["synth", "--spec", str(spec), "--output",
+                     str(tmp_path / "x.csv")]) == 1
+        assert "blocks[0] is missing key 'vars'" in capsys.readouterr().err
+
 
 class TestMeasure:
     def test_comonotone_rho(self, tmp_path, capsys):
