@@ -78,7 +78,7 @@ class PairCopula:
         if self.family not in PAIR_FAMILIES:
             raise ValueError(f"unknown pair-copula family {self.family!r}")
         if self.family == "gaussian":
-            if self.theta is None or not -1.0 < self.theta < 1.0:
+            if not isinstance(self.theta, numbers.Real) or not -1.0 < self.theta < 1.0:
                 raise ValueError(
                     f"gaussian theta must be in (-1, 1), got {self.theta}"
                 )
@@ -113,8 +113,10 @@ class MarginSpec:
         if self.family not in MARGIN_FAMILIES:
             raise ValueError(f"unknown margin family {self.family!r}")
         if self.family == "exponential":
-            if not isinstance(self.rate, numbers.Real) or not self.rate > 0:
-                raise ValueError(f"exponential rate must be > 0, got {self.rate}")
+            if not isinstance(self.rate, numbers.Real) or not 0 < self.rate < np.inf:
+                raise ValueError(
+                    f"exponential rate must be > 0 and finite, got {self.rate}"
+                )
         elif self.rate is not None:
             raise ValueError("standard_normal margin takes no rate")
 

@@ -77,6 +77,16 @@ class Dataset:
         return self.values[:, self.column_index(name)]
 
 
+def _check_permutations(ranks: np.ndarray, names) -> np.ndarray:
+    """``ranks`` (T x N) as int64 once every column is checked to be a
+    permutation of 1..T; the first that is not is named by ``names``."""
+    t = ranks.shape[0]
+    valid = np.all(np.sort(ranks, axis=0) == np.arange(1, t + 1)[:, np.newaxis], axis=0)
+    if not np.all(valid):
+        raise ValueError(f"{names[np.argmin(valid)]} is not a permutation of 1..{t}")
+    return ranks.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class RankMatrix:
     """Per-column ranks of a dataset; each column is a permutation of 1..T."""
@@ -84,15 +94,11 @@ class RankMatrix:
     ranks: np.ndarray
 
     def __post_init__(self):
-        ranks = np.asarray(self.ranks, dtype=np.int64)
+        ranks = np.asarray(self.ranks)
         if ranks.ndim != 2:
             raise ValueError(f"ranks must be 2-D, got shape {ranks.shape}")
-        t = ranks.shape[0]
-        expected = np.arange(1, t + 1)
-        for j in range(ranks.shape[1]):
-            if not np.array_equal(np.sort(ranks[:, j]), expected):
-                raise ValueError(f"column {j} is not a permutation of 1..{t}")
-        object.__setattr__(self, "ranks", ranks)
+        names = [f"column {j}" for j in range(ranks.shape[1])]
+        object.__setattr__(self, "ranks", _check_permutations(ranks, names))
 
     @property
     def sample_count(self) -> int:
@@ -230,7 +236,7 @@ def column_ranks(
         ordering induces between heavily tied columns.  Columns without
         ties get identical ranks under both modes.
     tie_seed : int
-        Seed for the "random" mode; ignored for "stable".
+        Seed for the "random" mode, >= 0; ignored for "stable".
 
     Returns
     -------
@@ -242,6 +248,8 @@ def column_ranks(
         raise ValueError(f"values must be 2-D, got shape {values.shape}")
     if tie_break not in ("stable", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
+    if tie_break == "random" and tie_seed < 0:
+        raise ValueError(f"tie_seed must be >= 0, got {tie_seed}")
     t, n = values.shape
     ranks = np.empty((t, n), dtype=np.int64)
     rng = np.random.default_rng(tie_seed) if tie_break == "random" else None

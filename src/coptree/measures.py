@@ -6,9 +6,10 @@ rank products, so no grid is materialized.  Mutual information is the
 plug-in KL divergence of the order-K lattice cell masses from a product of
 margins: the grid's observed row and column sums ("mi_cell"), or the
 nominal 1/K margins of a copula ("mi_kde").  Both depend on ranks only.
-:func:`weight_matrix` counts the cells of every column pair for the MI
-measures in one counting pass per column; rho_abs is still evaluated one
-pair at a time through :func:`spearman_rho`.
+:func:`weight_matrix` scores every column pair at once: rho_abs from one
+integer product of the rank matrix with itself, the MI measures from one
+cell-counting pass per column.  The single-pair functions check their
+inputs and then call the same kernels on two columns.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 """
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, column_ranks
-from .empirical import _cell_counts, _cell_indices, default_lattice_order
+from .dataset import Dataset, _check_permutations, column_ranks
+from .empirical import _cell_indices, default_lattice_order
 
 __all__ = [
     "MEASURES",
@@ -36,17 +37,38 @@ MEASURES = ("rho_abs", "mi_cell", "mi_kde")
 # (columns x T) cell-index block and its (columns x K^2) count vector.
 _MAX_BLOCK_CELLS = 2**20
 
+# Largest T at which sum_t t^2, the largest sum of rank products, fits in
+# int64; _rho_matrix sums in float64 beyond it.
+_MAX_EXACT_RHO_T = 3_024_616
 
-def _check_rank_column(r: np.ndarray, name: str) -> np.ndarray:
-    r = np.asarray(r)
-    if r.ndim != 1:
-        raise ValueError(f"{name} must be 1-D")
-    t = r.shape[0]
-    if t < 2:
-        raise ValueError(f"{name} needs at least 2 entries, got {t}")
-    if not np.array_equal(np.sort(r), np.arange(1, t + 1)):
-        raise ValueError(f"{name} is not a permutation of 1..{t}")
-    return r.astype(np.int64)
+
+def _rank_pair(rank_x, rank_y) -> np.ndarray:
+    """Two rank columns as a checked T x 2 int64 array."""
+    pair = [np.asarray(rank_x), np.asarray(rank_y)]
+    for name, r in zip(("rank_x", "rank_y"), pair):
+        if r.ndim != 1:
+            raise ValueError(f"{name} must be 1-D")
+        if r.shape[0] < 2:
+            raise ValueError(f"{name} needs at least 2 entries, got {r.shape[0]}")
+    if pair[0].shape != pair[1].shape:
+        raise ValueError(f"length mismatch: {pair[0].shape[0]} vs {pair[1].shape[0]}")
+    return _check_permutations(np.column_stack(pair), ("rank_x", "rank_y"))
+
+
+def _rho_matrix(ranks: np.ndarray) -> np.ndarray:
+    """Signed rho of every column pair of a T x N rank array, zero diagonal.
+
+    Each sum_t r_i[t] * r_j[t] is exact in the int64 product, so it does
+    not depend on the row order; beyond ``_MAX_EXACT_RHO_T`` it is float64.
+    """
+    t = ranks.shape[0]
+    dtype = np.int64 if t <= _MAX_EXACT_RHO_T else np.float64
+    rho = np.einsum("ti,tj->ij", ranks, ranks, dtype=dtype).astype(float)
+    rho -= t * (t + 1.0) ** 2 / 4.0
+    rho *= 12.0
+    rho /= t * (t * t - 1.0)
+    np.fill_diagonal(rho, 0.0)
+    return rho
 
 
 def spearman_rho(rank_x, rank_y) -> float:
@@ -57,15 +79,7 @@ def spearman_rho(rank_x, rank_y) -> float:
     sum_t r_x[t] * r_y[t] because each copula value counts rank pairs
     below a lattice point, so the evaluation is O(T) after ranking.
     """
-    rx = _check_rank_column(rank_x, "rank_x")
-    ry = _check_rank_column(rank_y, "rank_y")
-    if rx.shape != ry.shape:
-        raise ValueError(
-            f"length mismatch: {rx.shape[0]} vs {ry.shape[0]}"
-        )
-    t = rx.shape[0]
-    s = float(np.dot(rx.astype(float), ry.astype(float)))
-    return (s - t * (t + 1.0) ** 2 / 4.0) * 12.0 / (t * (t * t - 1.0))
+    return float(_rho_matrix(_rank_pair(rank_x, rank_y))[0, 1])
 
 
 def _plugin_mi(m: np.ndarray, row: np.ndarray, col: np.ndarray) -> float:
@@ -87,17 +101,13 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
     (K-1)^2 / (2T) nats at independence; keep K well below sqrt(T)
     when absolute values matter (see ``default_lattice_order``).
     """
-    rx = _check_rank_column(rank_x, "rank_x")
-    ry = _check_rank_column(rank_y, "rank_y")
-    if rx.shape != ry.shape:
-        raise ValueError(f"length mismatch: {rx.shape[0]} vs {ry.shape[0]}")
-    t = rx.shape[0]
+    ranks = _rank_pair(rank_x, rank_y)
+    t = ranks.shape[0]
     if not 2 <= lattice_order <= t:
         raise ValueError(
             f"lattice order must be in [2, {t}], got {lattice_order}"
         )
-    m = _cell_counts(np.column_stack([rx, ry]), lattice_order) / t
-    return _plugin_mi(m, m.sum(axis=1), m.sum(axis=0))
+    return float(_mi_weights(ranks, lattice_order, True)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -308,17 +318,18 @@ def weight_matrix(
         two heavily tied columns inherit spurious dependence from shared
         row ordering.
 
-    For the MI measures the cells of every pair are counted in one pass
-    per column (see :func:`_mi_weights`), and the weights equal the
-    single-pair functions' bit for bit; rho_abs calls
-    :func:`spearman_rho` once per pair.
+    rho_abs takes every pair's rank-product sum from one integer product
+    of the rank matrix with itself (see :func:`_rho_matrix`); the MI
+    measures count the cells of every pair in one pass per column (see
+    :func:`_mi_weights`).  Either way the weights equal the single-pair
+    functions' bit for bit.
 
     The result is deterministic for fixed inputs and independent of the
     order pairs are evaluated in.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    t, n = data.sample_count, data.dim
+    t = data.sample_count
     if lattice_order == 0:
         lattice_order = default_lattice_order(t)
     if not 2 <= lattice_order <= t:
@@ -327,10 +338,7 @@ def weight_matrix(
         raise ValueError("degenerate column: zero variance")
     ranks = column_ranks(data.values, tie_break, tie_seed)
     if measure == "rho_abs":
-        signed = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                signed[i, j] = signed[j, i] = spearman_rho(ranks[:, i], ranks[:, j])
+        signed = _rho_matrix(ranks)
         values = np.abs(signed)
     else:
         values = _mi_weights(ranks, lattice_order, measure == "mi_cell")

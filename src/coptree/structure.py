@@ -3,6 +3,8 @@
 The tree maximizing total pairwise dependence is grown greedily: start
 from the globally heaviest edge, then repeatedly attach the out-of-tree
 vertex with the heaviest crossing edge (Prim on a dense matrix, O(N^2)).
+Each out-of-tree vertex keeps its best crossing edge, and attaching a
+vertex updates all of them with one vectorized compare against its row.
 Ties are broken toward the lexicographically smallest (min index,
 max index) pair, making the result fully deterministic.
 """
@@ -86,49 +88,44 @@ class DependenceTree:
         return out
 
 
-def _edge_key(weights: np.ndarray, i: int, j: int):
-    # Total order: heavier first, then lexicographically smallest sorted
-    # index pair.  max() over these keys picks that edge.
-    a, b = (i, j) if i < j else (j, i)
-    return (weights[i, j], -a, -b)
-
-
 def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
     """Spanning tree with maximum total weight, grown from the heaviest edge.
 
     Deterministic: ties fall to the lexicographically smallest
     (min index, max index) pair.  With all weights equal this yields the
-    star rooted at the first node.
+    star rooted at the first node.  Edges are listed in the order they
+    join the tree.
     """
     n = w.dim
     if n < 2:
         raise ValueError(f"need at least 2 variables, got {n}")
     values = w.values
-    best = max(
-        ((i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda ij: _edge_key(values, *ij),
-    )
-    i0, j0 = best
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[i0] = in_tree[j0] = True
-    edges = [(i0, j0)]
-    # best in-tree partner of each out-of-tree vertex
-    partner = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        if not in_tree[v]:
-            partner[v] = max((i0, j0), key=lambda u: _edge_key(values, u, v))
-    while len(edges) < n - 1:
-        v_next = max(
-            (v for v in range(n) if not in_tree[v]),
-            key=lambda v: _edge_key(values, partner[v], v),
+    # Each out-of-tree vertex's best crossing edge: its weight and sorted
+    # ends.  In-tree vertices hold -inf so that they are never picked.
+    index = np.arange(n)
+    out = np.ones(n, dtype=bool)
+    best = np.full(n, -np.inf)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.zeros(n, dtype=np.int64)
+    # The heaviest edge's smaller end is the first row holding the largest
+    # weight (weights are >= 0 with a zero diagonal).  Growing from it
+    # attaches the heaviest edge first.
+    u = int(np.argmax(values.max(axis=1)))
+    edges = []
+    for _ in range(n - 1):
+        out[u] = False
+        best[u] = -np.inf
+        row = values[u]
+        a, b = np.minimum(index, u), np.maximum(index, u)
+        # the key (weight, -min index, -max index) of (u, v) beats v's best
+        better = out & (
+            (row > best) | ((row == best) & ((a < lo) | ((a == lo) & (b < hi))))
         )
-        u_next = partner[v_next]
-        in_tree[v_next] = True
-        edges.append((min(u_next, v_next), max(u_next, v_next)))
-        for v in range(n):
-            if not in_tree[v]:
-                if _edge_key(values, v_next, v) > _edge_key(values, partner[v], v):
-                    partner[v] = v_next
+        best[better], lo[better], hi[better] = row[better], a[better], b[better]
+        top = np.flatnonzero(best == best.max())
+        top = top[lo[top] == lo[top].min()]
+        u = int(top[np.argmin(hi[top])])
+        edges.append((int(lo[u]), int(hi[u])))
     tree_edges = tuple(
         TreeEdge(
             u=w.names[a],

@@ -141,6 +141,46 @@ def best_tree_weight(weights: np.ndarray) -> float:
     )
 
 
+def _edge_key(weights: np.ndarray, i: int, j: int):
+    # Total order: heavier first, then lexicographically smallest sorted
+    # index pair.  max() over these keys picks that edge.
+    a, b = (i, j) if i < j else (j, i)
+    return (weights[i, j], -a, -b)
+
+
+def literal_prim(values: np.ndarray) -> list:
+    """Edges (min index, max index) of the maximum spanning tree, in the
+    order they join it: Prim grown from the heaviest edge, one vertex at a
+    time, every comparison on the key (weight, -min index, -max index)."""
+    n = values.shape[0]
+    best = max(
+        ((i, j) for i in range(n) for j in range(i + 1, n)),
+        key=lambda ij: _edge_key(values, *ij),
+    )
+    i0, j0 = best
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[i0] = in_tree[j0] = True
+    edges = [(i0, j0)]
+    # best in-tree partner of each out-of-tree vertex
+    partner = np.empty(n, dtype=np.int64)
+    for v in range(n):
+        if not in_tree[v]:
+            partner[v] = max((i0, j0), key=lambda u: _edge_key(values, u, v))
+    while len(edges) < n - 1:
+        v_next = max(
+            (v for v in range(n) if not in_tree[v]),
+            key=lambda v: _edge_key(values, partner[v], v),
+        )
+        u_next = partner[v_next]
+        in_tree[v_next] = True
+        edges.append((min(u_next, v_next), max(u_next, v_next)))
+        for v in range(n):
+            if not in_tree[v]:
+                if _edge_key(values, v_next, v) > _edge_key(values, partner[v], v):
+                    partner[v] = v_next
+    return [(int(a), int(b)) for a, b in edges]
+
+
 def gaussian_spearman(theta: float) -> float:
     """Closed-form Spearman's rho of a bivariate Gaussian copula."""
     return (6.0 / math.pi) * math.asin(theta / 2.0)

@@ -45,6 +45,8 @@ class TestPairCopula:
             PairCopula("gaussian", 1.0)
         with pytest.raises(ValueError, match="theta"):
             PairCopula("gaussian")
+        with pytest.raises(ValueError, match=r"theta must be in \(-1, 1\), got x"):
+            PairCopula("gaussian", "x")
         with pytest.raises(ValueError, match="no parameter"):
             PairCopula("independence", 0.5)
         with pytest.raises(ValueError, match="family"):
@@ -222,6 +224,13 @@ class TestSyntheticSpec:
         pytest.param({"margins": [{"family": "standard_normal"},
                                   {"family": "exponential", "rate": "x"}]},
                      "rate must be > 0", id="rate-string"),
+        # json.load reads Infinity and NaN; an infinite rate makes every draw 0.0
+        pytest.param({"margins": [{"family": "standard_normal"},
+                                  {"family": "exponential", "rate": float("inf")}]},
+                     "rate must be > 0 and finite, got inf", id="rate-infinite"),
+        pytest.param({"margins": [{"family": "standard_normal"},
+                                  {"family": "exponential", "rate": float("nan")}]},
+                     "rate must be > 0 and finite, got nan", id="rate-nan"),
         pytest.param({"names": 5}, "names must be a list", id="names-not-list"),
         pytest.param({"samples": 10.9}, "samples must be an integer, got 10.9",
                      id="samples-fraction"),

@@ -167,6 +167,10 @@ class TestLearn:
         assert main(["learn", "--input", str(toy_csv), "--measure", "rho",
                      "--lattice-order", "1"]) == 1
 
+    def test_negative_tie_seed_exits_one(self, toy_csv, capsys):
+        assert main(["learn", "--input", str(toy_csv), "--tie-seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: tie_seed must be >= 0, got -1\n"
+
     def test_degenerate_column_with_kde_exits_one(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         rng = np.random.default_rng(33)
@@ -265,6 +269,22 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--output",
                      str(tmp_path / "x.csv")]) == 1
         assert "blocks[0] is missing key 'vars'" in capsys.readouterr().err
+
+
+    def test_infinite_rate_exits_one(self, tmp_path, capsys):
+        spec = tmp_path / "infinite.json"
+        spec.write_text(json.dumps({
+            "blocks": [{"vars": [1, 2], "family": "independence"}],
+            "margins": [{"family": "standard_normal"},
+                        {"family": "exponential", "rate": float("inf")}],
+            "samples": 10,
+            "seed": 0,
+        }))
+        assert "Infinity" in spec.read_text()
+        output = tmp_path / "x.csv"
+        assert main(["synth", "--spec", str(spec), "--output", str(output)]) == 1
+        assert "rate must be > 0 and finite, got inf" in capsys.readouterr().err
+        assert not output.exists()
 
 
 class TestMeasure:

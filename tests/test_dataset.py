@@ -327,3 +327,18 @@ class TestRankTransform:
     def test_rank_matrix_validates_permutations(self):
         with pytest.raises(ValueError, match="not a permutation"):
             RankMatrix(ranks=np.array([[1, 1], [1, 2]]))
+
+    def test_rank_matrix_rejects_fractional_ranks(self):
+        # checked before the int64 cast, which would turn 1.5 into 1
+        with pytest.raises(ValueError, match="column 1 is not a permutation of 1..2"):
+            RankMatrix(ranks=np.array([[1.0, 1.5], [2.0, 2.0]]))
+        ranks = RankMatrix(ranks=np.array([[2.0, 1.0], [1.0, 2.0]])).ranks
+        assert ranks.dtype == np.int64
+
+    def test_negative_tie_seed_rejected_for_random_ties(self):
+        values = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="tie_seed must be >= 0, got -1"):
+            column_ranks(values, "random", tie_seed=-1)
+        # the seed is not used by stable ranks
+        assert np.array_equal(column_ranks(values, "stable", tie_seed=-1),
+                              column_ranks(values, "stable"))

@@ -372,3 +372,76 @@ class TestBulkMiWeights:
                 ):
                     w = weight_matrix(table, measure, tie_seed=tie_seed)
                 assert np.array_equal(w.values, expected)
+
+
+class TestBulkRhoWeights:
+    """rho_abs scores every pair from one integer product of the ranks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_oracle(self, data):
+        n = data.draw(st.integers(2, 5), label="N")
+        t = data.draw(st.integers(2, 40), label="T")
+        levels = data.draw(st.integers(2, 2 * t), label="levels")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        # few levels give heavily tied columns
+        values = rng.integers(0, levels, size=(t, n)).astype(float)
+        table = Dataset(columns=tuple(f"c{j}" for j in range(n)), values=values)
+        w = weight_matrix(table, "rho_abs")
+        ranks = column_ranks(values, "random", 0)
+        for i, j in itertools.combinations(range(n), 2):
+            expected = naive_spearman(ranks[:, i], ranks[:, j])
+            assert abs(w.signed[i, j] - expected) <= 1e-12
+        assert np.array_equal(w.signed, w.signed.T)
+        assert np.array_equal(w.values, np.abs(w.signed))
+        assert np.all(np.diag(w.signed) == 0.0)
+
+    def test_bit_identical_to_per_pair_calls(self, housing):
+        rng = np.random.default_rng(21)
+        mixed = rng.standard_normal((3000, 7)) @ rng.standard_normal((7, 7))
+        tied = Dataset(columns=tuple("abcdefg"), values=np.round(mixed, 0))
+        for table in (housing, tied):
+            n = table.dim
+            for tie_seed in (0, 1):
+                ranks = column_ranks(table.values, "random", tie_seed)
+                expected = np.zeros((n, n))
+                for i, j in itertools.combinations(range(n), 2):
+                    rho = spearman_rho(ranks[:, i], ranks[:, j])
+                    expected[i, j] = expected[j, i] = rho
+                w = weight_matrix(table, "rho_abs", tie_seed=tie_seed)
+                assert np.array_equal(w.signed, expected)
+                assert np.array_equal(w.values, np.abs(expected))
+
+    def test_int64_product_bound(self, housing):
+        # the largest rank-product sum, sum_t t^2, fits int64 up to the bound
+        t = measures._MAX_EXACT_RHO_T
+        def squares(k):
+            return k * (k + 1) * (2 * k + 1) // 6
+
+        assert squares(t) < 2**63 <= squares(t + 1)
+        # beyond it the product is float64, which is exact too at small T
+        ranks = column_ranks(housing.values, "random", 0)
+        exact = measures._rho_matrix(ranks)
+        with mock.patch.object(measures, "_MAX_EXACT_RHO_T", 1):
+            assert np.array_equal(measures._rho_matrix(ranks), exact)
+
+    def test_exact_and_row_order_free_beyond_float_sums(self):
+        # At T = 400000 the rank-product sum of a strongly dependent pair is
+        # above 2^53, so float64 partial sums round and the result can
+        # depend on the row order.  The integer product sums exactly.
+        t = 400_000
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((t, 2))
+        values[:, 1] = values[:, 0] + 0.1 * values[:, 1]
+        ranks = column_ranks(values, "random", 0)
+        s = sum(a * b for a, b in zip(ranks[:, 0].tolist(), ranks[:, 1].tolist()))
+        exact = (float(s) - t * (t + 1.0) ** 2 / 4.0) * 12.0 / (t * (t * t - 1.0))
+        rows = rng.permutation(t)
+        rho = [spearman_rho(ranks[order, 0], ranks[order, 1])
+               for order in (np.arange(t), rows)]
+        signed = [weight_matrix(Dataset(columns=("a", "b"), values=table),
+                                "rho_abs").signed[0, 1]
+                  for table in (values, values[rows])]
+        assert rho[0] == rho[1] and signed[0] == signed[1]
+        assert rho[0] == exact and signed[0] == exact

@@ -35,6 +35,8 @@ from coptree import cli
 assert "scipy" not in sys.modules, "import"
 assert cli.main(["learn", "--input", {str(HOUSING)!r}, "--json", "tree.json",
                  "--dot", "tree.dot"]) == 0
+assert cli.main(["learn", "--input", {str(HOUSING)!r}, "--measure", "rho",
+                 "--json", "rho.json"]) == 0
 for measure in ("rho", "mi-cell", "mi-kde"):
     assert cli.main(["measure", "--input", {str(HOUSING)!r}, "--pair", "medv,lstat",
                      "--measure", measure]) == 0

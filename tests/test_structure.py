@@ -1,6 +1,7 @@
 """Maximum spanning tree, coverage ratio, and the learning pipeline."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coptree import (
     Dataset,
@@ -11,7 +12,7 @@ from coptree import (
     learn_structure,
     maximum_spanning_tree,
 )
-from oracles import best_tree_weight, connected
+from oracles import best_tree_weight, connected, literal_prim
 
 
 def matrix_of(names, entries, measure="mi_cell"):
@@ -78,6 +79,27 @@ class TestMaximumSpanningTree:
                 (e.u, e.v) for e in first.edges
             ] == [(e.u, e.v) for e in second.edges]
             assert first.total_weight() == pytest.approx(best_tree_weight(w.values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_edges_in_same_order_as_literal_prim(self, data):
+        # three weight levels make most comparisons ties, so every edge
+        # choice exercises the (weight, -min index, -max index) key
+        n = data.draw(st.integers(2, 12), label="N")
+        upper = data.draw(
+            st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2,
+                     max_size=n * (n - 1) // 2),
+            label="weights",
+        )
+        values = np.zeros((n, n))
+        values[np.triu_indices(n, 1)] = upper
+        values += values.T
+        names = tuple(f"v{i}" for i in range(n))
+        w = WeightMatrix(names=names, measure="mi_cell", lattice_order=2,
+                         values=values, signed=values)
+        tree = maximum_spanning_tree(w)
+        got = [(names.index(e.u), names.index(e.v)) for e in tree.edges]
+        assert got == literal_prim(values)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
