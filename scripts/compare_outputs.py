@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Check that the package under src/ gives the same output bytes as at REF.
+
+Usage, from the repository root:
+
+    python scripts/compare_outputs.py REF
+
+REF is any git revision (``HEAD~``, a branch, a commit).  Its ``src/`` is
+unpacked with ``git archive`` into a temporary directory, so neither the
+index nor the working tree is touched, and nothing is fetched.  Both
+copies of the package then run the same cases in fresh interpreters:
+
+- ``coptree learn`` on data/housing.csv: the --json file, the --dot file
+  and stdout, for each measure and tie seeds 0 and 1;
+- ``coptree measure`` stdout for three column pairs and each measure;
+- ``column_ranks`` (both tie modes) and ``weight_matrix`` ``values`` and
+  ``signed`` (each measure) on a tied 50000 x 16 and a tied 500 x 300
+  table, saved with ``np.save`` so dtype and shape are compared too.
+
+Prints one line per differing case and a summary; exits 1 if any case
+differs, 0 if none does.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HOUSING = ROOT / "data" / "housing.csv"
+MEASURES = ("rho", "mi-cell", "mi-kde")
+PAIRS = ("rm,medv", "crim,tax", "chas,nox")
+
+ARRAYS = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from coptree import Dataset, column_ranks, weight_matrix
+
+out = Path(sys.argv[1])
+for t, n in ((50000, 16), (500, 300)):
+    rng = np.random.default_rng(t + n)
+    values = rng.standard_normal((t, n)) @ np.triu(rng.standard_normal((n, n)))
+    values[:, ::2] = np.round(values[:, ::2])  # every other column tied
+    tag = f"{t}x{n}"
+    np.save(out / f"{tag}-ranks-stable.npy", column_ranks(values, "stable"))
+    np.save(out / f"{tag}-ranks-random.npy", column_ranks(values, "random", 0))
+    table = Dataset(columns=tuple(f"c{j}" for j in range(n)), values=values)
+    for measure in ("rho_abs", "mi_cell", "mi_kde"):
+        w = weight_matrix(table, measure)
+        np.save(out / f"{tag}-{measure}-values.npy", w.values)
+        np.save(out / f"{tag}-{measure}-signed.npy", w.signed)
+"""
+
+
+def _run(src: Path, args, cwd: Path) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True
+    )
+    return b"exit %d\n" % done.returncode + done.stdout
+
+
+def collect(src: Path, work: Path) -> dict[str, bytes]:
+    """Output bytes of every case, keyed by case name, for the package in src."""
+    work.mkdir()
+    outputs = {}
+    for measure in MEASURES:
+        for tie_seed in ("0", "1"):
+            case = f"learn {measure} tie-seed {tie_seed}"
+            json_path, dot_path = work / "tree.json", work / "tree.dot"
+            outputs[f"{case} stdout"] = _run(src, [
+                "-m", "coptree.cli", "learn", "--input", str(HOUSING),
+                "--measure", measure, "--tie-seed", tie_seed,
+                "--json", str(json_path), "--dot", str(dot_path),
+            ], work)
+            for label, path in (("json", json_path), ("dot", dot_path)):
+                outputs[f"{case} {label}"] = path.read_bytes() if path.exists() else b""
+                path.unlink(missing_ok=True)
+    for pair in PAIRS:
+        for measure in MEASURES:
+            outputs[f"measure {pair} {measure} stdout"] = _run(src, [
+                "-m", "coptree.cli", "measure", "--input", str(HOUSING),
+                "--pair", pair, "--measure", measure,
+            ], work)
+    arrays = work / "arrays"
+    arrays.mkdir()
+    outputs["arrays script"] = _run(src, ["-c", ARRAYS, str(arrays)], work)
+    for path in sorted(arrays.iterdir()):
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", args.ref, "src"],
+        cwd=ROOT, capture_output=True,
+    )
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "ref", filter="data")
+        ref = collect(tmp / "ref" / "src", tmp / "ref-out")
+        new = collect(ROOT / "src", tmp / "new-out")
+    differ = sorted(name for name in ref.keys() | new.keys()
+                    if ref.get(name) != new.get(name))
+    for name in differ:
+        print(f"DIFFERS: {name}")
+    print(f"{len(differ)} of {len(ref.keys() | new.keys())} outputs differ from {args.ref}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,6 +22,10 @@ __all__ = [
     "column_ranks",
 ]
 
+# Elements per block of column_ranks: bounds the (columns x T) order, key
+# and permutation blocks it sorts at once.
+_MAX_RANK_BLOCK_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -236,33 +240,69 @@ def column_ranks(
         ordering induces between heavily tied columns.  Columns without
         ties get identical ranks under both modes.
     tie_seed : int
-        Seed for the "random" mode, >= 0; ignored for "stable".
+        Seed for the "random" mode, an integer >= 0; ignored for "stable".
 
     Returns
     -------
     ndarray of int64, shape (T, N)
         Each column is a permutation of 1..T.
+
+    Notes
+    -----
+    Columns are ranked in blocks of at most ``_MAX_RANK_BLOCK_CELLS``
+    elements.  One unstable sort orders every column of a block.  A column
+    whose sorted values hold an equal neighbour (NaNs, which sort last,
+    count as equal; so do -0.0 and 0.0) is sorted again on the distinct
+    int64 key ``value code * T + tie position``: the value code is the
+    dense rank of the value, the tie position the row index ("stable") or
+    the row's position in the column's random permutation ("random").  The
+    permutations are drawn for every column, tied or not, as rows of one
+    ``Generator.permuted`` call per block, which takes the same stream as
+    one ``Generator.permutation(T)`` per column.  So the ranks equal those
+    of a stable sort of each column, shuffled first under "random".
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"values must be 2-D, got shape {values.shape}")
     if tie_break not in ("stable", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    if tie_break == "random" and tie_seed < 0:
-        raise ValueError(f"tie_seed must be >= 0, got {tie_seed}")
+    if tie_break == "random":
+        if not isinstance(tie_seed, (int, np.integer)):
+            raise ValueError(f"tie_seed must be an integer >= 0, got {tie_seed!r}")
+        if tie_seed < 0:
+            raise ValueError(f"tie_seed must be >= 0, got {tie_seed}")
     t, n = values.shape
     ranks = np.empty((t, n), dtype=np.int64)
     rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
     positions = np.arange(1, t + 1, dtype=np.int64)
-    for j in range(n):
-        if rng is None:
-            order = np.argsort(values[:, j], kind="stable")
-        else:
-            # Shuffle rows first so equal values end up in random order;
-            # distinct values are unaffected by the reshuffle.
-            perm = rng.permutation(t)
-            order = perm[np.argsort(values[perm, j], kind="stable")]
-        ranks[order, j] = positions
+    width = max(1, _MAX_RANK_BLOCK_CELLS // max(t, 1))
+    for lo in range(0, n, width):
+        block = np.ascontiguousarray(values[:, lo : lo + width].T)
+        order = np.argsort(block, axis=1)
+        ordered = np.take_along_axis(block, order, axis=1)
+        rises = ordered[:, 1:] != ordered[:, :-1]
+        rises &= ~np.isnan(ordered[:, :-1])  # NaNs sort last, as one value
+        tied = ~np.all(rises, axis=1)
+        if rng is not None:
+            perm = rng.permuted(np.broadcast_to(np.arange(t), block.shape), axis=1)
+        if np.any(tied):
+            rows = order[tied]
+            code = np.zeros(rows.shape, dtype=np.int64)
+            np.cumsum(rises[tied], axis=1, out=code[:, 1:])
+            code *= t
+            if rng is None:
+                key = code + rows
+            else:
+                perm = perm[tied]
+                place = np.empty_like(perm)
+                np.put_along_axis(place, perm, positions - 1, axis=1)
+                key = code + np.take_along_axis(place, rows, axis=1)
+            # the codes are already in order, so sorting the distinct keys
+            # leaves them in place and orders each tie by its position
+            key.sort(axis=1)
+            key -= code
+            order[tied] = key if rng is None else np.take_along_axis(perm, key, axis=1)
+        np.put_along_axis(ranks[:, lo : lo + width].T, order, positions, axis=1)
     return ranks
 
 

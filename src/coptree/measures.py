@@ -7,7 +7,8 @@ plug-in KL divergence of the order-K lattice cell masses from a product of
 margins: the grid's observed row and column sums ("mi_cell"), or the
 nominal 1/K margins of a copula ("mi_kde").  Both depend on ranks only.
 :func:`weight_matrix` scores every column pair at once: rho_abs from one
-integer product of the rank matrix with itself, the MI measures from one
+exact product of the rank matrix with itself (float64 while every partial
+sum is an integer below 2^53, int64 beyond), the MI measures from one
 cell-counting pass per column.  The single-pair functions check their
 inputs and then call the same kernels on two columns.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
@@ -37,8 +38,12 @@ MEASURES = ("rho_abs", "mi_cell", "mi_kde")
 # (columns x T) cell-index block and its (columns x K^2) count vector.
 _MAX_BLOCK_CELLS = 2**20
 
-# Largest T at which sum_t t^2, the largest sum of rank products, fits in
-# int64; _rho_matrix sums in float64 beyond it.
+# Largest T at which sum_t t^2, the largest sum of rank products, is at
+# most 2^53, so a float64 sum of rank products is exact.
+_MAX_FLOAT_EXACT_RHO_T = 300_079
+
+# Largest T at which sum_t t^2 fits in int64; _rho_matrix sums in float64
+# beyond it.
 _MAX_EXACT_RHO_T = 3_024_616
 
 
@@ -58,12 +63,17 @@ def _rank_pair(rank_x, rank_y) -> np.ndarray:
 def _rho_matrix(ranks: np.ndarray) -> np.ndarray:
     """Signed rho of every column pair of a T x N rank array, zero diagonal.
 
-    Each sum_t r_i[t] * r_j[t] is exact in the int64 product, so it does
-    not depend on the row order; beyond ``_MAX_EXACT_RHO_T`` it is float64.
+    Up to ``_MAX_EXACT_RHO_T`` each sum_t r_i[t] * r_j[t] is exact, so it
+    does not depend on the row order: it is summed in float64 up to
+    ``_MAX_FLOAT_EXACT_RHO_T``, where every partial sum is an integer of
+    at most 2^53, and in int64 above.  Beyond that it is a float64 sum.
     """
     t = ranks.shape[0]
-    dtype = np.int64 if t <= _MAX_EXACT_RHO_T else np.float64
-    rho = np.einsum("ti,tj->ij", ranks, ranks, dtype=dtype).astype(float)
+    if t <= _MAX_FLOAT_EXACT_RHO_T:
+        ranks, dtype = ranks.astype(np.float64), np.float64
+    else:
+        dtype = np.int64 if t <= _MAX_EXACT_RHO_T else np.float64
+    rho = np.einsum("ti,tj->ij", ranks, ranks, dtype=dtype).astype(float, copy=False)
     rho -= t * (t + 1.0) ** 2 / 4.0
     rho *= 12.0
     rho /= t * (t * t - 1.0)
@@ -318,7 +328,7 @@ def weight_matrix(
         two heavily tied columns inherit spurious dependence from shared
         row ordering.
 
-    rho_abs takes every pair's rank-product sum from one integer product
+    rho_abs takes every pair's rank-product sum from one exact product
     of the rank matrix with itself (see :func:`_rho_matrix`); the MI
     measures count the cells of every pair in one pass per column (see
     :func:`_mi_weights`).  Either way the weights equal the single-pair

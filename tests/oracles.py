@@ -181,6 +181,51 @@ def literal_prim(values: np.ndarray) -> list:
     return [(int(a), int(b)) for a, b in edges]
 
 
+def literal_column_ranks(
+    values: np.ndarray, tie_break: str = "stable", tie_seed: int = 0
+) -> np.ndarray:
+    """Rank each column of a T x N array; rank 1 = smallest value.
+
+    Parameters
+    ----------
+    values : ndarray, shape (T, N)
+    tie_break : {"stable", "random"}
+        "stable" breaks ties by ascending row index.  "random" breaks ties
+        in a seeded random order drawn independently per column, which
+        removes the spurious cross-column dependence that shared row
+        ordering induces between heavily tied columns.  Columns without
+        ties get identical ranks under both modes.
+    tie_seed : int
+        Seed for the "random" mode, >= 0; ignored for "stable".
+
+    Returns
+    -------
+    ndarray of int64, shape (T, N)
+        Each column is a permutation of 1..T.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"values must be 2-D, got shape {values.shape}")
+    if tie_break not in ("stable", "random"):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
+    if tie_break == "random" and tie_seed < 0:
+        raise ValueError(f"tie_seed must be >= 0, got {tie_seed}")
+    t, n = values.shape
+    ranks = np.empty((t, n), dtype=np.int64)
+    rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
+    positions = np.arange(1, t + 1, dtype=np.int64)
+    for j in range(n):
+        if rng is None:
+            order = np.argsort(values[:, j], kind="stable")
+        else:
+            # Shuffle rows first so equal values end up in random order;
+            # distinct values are unaffected by the reshuffle.
+            perm = rng.permutation(t)
+            order = perm[np.argsort(values[perm, j], kind="stable")]
+        ranks[order, j] = positions
+    return ranks
+
+
 def gaussian_spearman(theta: float) -> float:
     """Closed-form Spearman's rho of a bivariate Gaussian copula."""
     return (6.0 / math.pi) * math.asin(theta / 2.0)

@@ -426,6 +426,24 @@ class TestBulkRhoWeights:
         with mock.patch.object(measures, "_MAX_EXACT_RHO_T", 1):
             assert np.array_equal(measures._rho_matrix(ranks), exact)
 
+    def test_float64_product_bound(self):
+        # up to the bound every partial sum of rank products is an integer
+        # of at most 2^53, so the float64 product is exact
+        t = measures._MAX_FLOAT_EXACT_RHO_T
+        def squares(k):
+            return k * (k + 1) * (2 * k + 1) // 6
+
+        assert squares(t) <= 2**53 < squares(t + 1)
+        # a comonotone pair has the largest sum, sum_t t^2
+        column = np.random.default_rng(3).permutation(t) + 1
+        ranks = np.column_stack([column, column])
+        s = squares(t)
+        exact = (float(s) - t * (t + 1.0) ** 2 / 4.0) * 12.0 / (t * (t * t - 1.0))
+        rho = measures._rho_matrix(ranks)
+        assert rho[0, 1] == exact
+        with mock.patch.object(measures, "_MAX_FLOAT_EXACT_RHO_T", 1):
+            assert np.array_equal(measures._rho_matrix(ranks), rho)
+
     def test_exact_and_row_order_free_beyond_float_sums(self):
         # At T = 400000 the rank-product sum of a strongly dependent pair is
         # above 2^53, so float64 partial sums round and the result can
