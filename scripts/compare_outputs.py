@@ -15,10 +15,13 @@ copies of the package then run the same cases in fresh interpreters:
 - ``coptree measure`` stdout for three column pairs and each measure;
 - ``column_ranks`` (both tie modes) and ``weight_matrix`` ``values`` and
   ``signed`` (each measure) on a tied 50000 x 16 and a tied 500 x 300
-  table, saved with ``np.save`` so dtype and shape are compared too.
+  table, saved with ``np.save`` so dtype and shape are compared too, and
+  the ``maximum_spanning_tree`` edges of each weight matrix in the order
+  they join the tree.
 
 Prints one line per differing case and a summary; exits 1 if any case
-differs, 0 if none does.
+differs, 0 if none does, and 2 if REF cannot be unpacked or the array
+cases fail to run.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coptree import Dataset, column_ranks, weight_matrix
+from coptree import Dataset, column_ranks, maximum_spanning_tree, weight_matrix
 
 out = Path(sys.argv[1])
 for t, n in ((50000, 16), (500, 300)):
@@ -57,6 +60,9 @@ for t, n in ((50000, 16), (500, 300)):
         w = weight_matrix(table, measure)
         np.save(out / f"{tag}-{measure}-values.npy", w.values)
         np.save(out / f"{tag}-{measure}-signed.npy", w.signed)
+        edges = maximum_spanning_tree(w).edges
+        (out / f"{tag}-{measure}-tree.txt").write_text("".join(
+            f"{e.u} {e.v} {e.weight!r} {e.signed_value!r}\\n" for e in edges))
 """
 
 
@@ -93,6 +99,9 @@ def collect(src: Path, work: Path) -> dict[str, bytes]:
     arrays = work / "arrays"
     arrays.mkdir()
     outputs["arrays script"] = _run(src, ["-c", ARRAYS, str(arrays)], work)
+    if not outputs["arrays script"].startswith(b"exit 0\n"):
+        sys.stderr.write(f"the array cases failed under {src}\n")
+        sys.exit(2)
     for path in sorted(arrays.iterdir()):
         outputs[path.name] = path.read_bytes()
     return outputs

@@ -142,16 +142,15 @@ def load_dataset(source) -> Dataset:
 
     Notes
     -----
-    A path is first parsed by ``np.loadtxt``, which streams the body from
-    the open file.  Whenever that fast path cannot vouch for the result (a
-    quote in the header, a cell or line it rejects, a field count other
-    than the header's, no data rows), the file is reopened and parsed again
-    by the validating parser, so a path gives the same values and error
+    A path is first parsed by ``np.loadtxt``, which reads the body from
+    the file in chunks.  Whenever that fast path cannot vouch for the
+    result (a quote in the header, a cell or line it rejects, a field count
+    other than the header's, no data rows), the file is reopened and parsed
+    again by the validating parser, so a path gives the same values and error
     messages either way.  A stream always goes to the validating parser.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            parsed = _fast_parse(handle)
+        parsed = _fast_parse(source)
         if parsed is not None:
             return Dataset(*parsed)
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
@@ -159,18 +158,20 @@ def load_dataset(source) -> Dataset:
     return _parse_csv(source)
 
 
-def _fast_parse(handle):
-    """(columns, values) of a CSV stream parsed by ``np.loadtxt``.
+def _fast_parse(path):
+    """(columns, values) of a CSV file parsed by ``np.loadtxt``.
 
     None where only :func:`_parse_csv` can tell what the text means: a
     quote in the header (csv may join lines there), a line or cell loadtxt
     rejects, no data rows (loadtxt warns), or a field count other than the
     header's.  Every cell loadtxt accepts, ``float`` accepts with the same
-    bits.  loadtxt ends a line at any of LF, CR and CRLF, so for a handle
-    opened with ``newline=""``, which splits lines the same way for csv,
+    bits.  The header is read from a handle opened as for ``_parse_csv``;
+    loadtxt reads the path in chunks and skips that one line.  Both end a
+    line at any of LF, CR and CRLF, as csv does on such a handle, so
     whatever this returns, ``_parse_csv`` returns too.
     """
-    line = handle.readline()
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        line = handle.readline()
     if '"' in line:
         return None
     try:
@@ -180,7 +181,8 @@ def _fast_parse(handle):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            values = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            values = np.loadtxt(path, delimiter=",", skiprows=1,
+                                encoding="utf-8-sig", comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
     if values.shape[1] != len(header):

@@ -7,9 +7,10 @@ plug-in KL divergence of the order-K lattice cell masses from a product of
 margins: the grid's observed row and column sums ("mi_cell"), or the
 nominal 1/K margins of a copula ("mi_kde").  Both depend on ranks only.
 :func:`weight_matrix` scores every column pair at once: rho_abs from one
-exact product of the rank matrix with itself (float64 while every partial
-sum is an integer below 2^53, int64 beyond), the MI measures from one
-cell-counting pass per column.  The single-pair functions check their
+BLAS product R^T R of the float64 rank matrix (while every partial sum is
+an integer of at most 2^53, so it is exact and the same for any BLAS
+kernel or thread count; an int64 product beyond), the MI measures from
+one cell-counting pass per column.  The single-pair functions check their
 inputs and then call the same kernels on two columns.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 """
@@ -64,16 +65,21 @@ def _rho_matrix(ranks: np.ndarray) -> np.ndarray:
     """Signed rho of every column pair of a T x N rank array, zero diagonal.
 
     Up to ``_MAX_EXACT_RHO_T`` each sum_t r_i[t] * r_j[t] is exact, so it
-    does not depend on the row order: it is summed in float64 up to
-    ``_MAX_FLOAT_EXACT_RHO_T``, where every partial sum is an integer of
-    at most 2^53, and in int64 above.  Beyond that it is a float64 sum.
+    does not depend on the row order.  Up to ``_MAX_FLOAT_EXACT_RHO_T``
+    every product and partial sum is an integer of at most 2^53, so one
+    float64 BLAS product R^T R (a symmetric rank-k update) gives the same
+    bits whatever its blocking, FMA use or thread split; above that the
+    sums are an int64 einsum.  Beyond ``_MAX_EXACT_RHO_T`` they are a
+    float64 sum.
     """
     t = ranks.shape[0]
     if t <= _MAX_FLOAT_EXACT_RHO_T:
-        ranks, dtype = ranks.astype(np.float64), np.float64
+        ranks = ranks.astype(np.float64)
+        rho = ranks.T @ ranks
     else:
         dtype = np.int64 if t <= _MAX_EXACT_RHO_T else np.float64
-    rho = np.einsum("ti,tj->ij", ranks, ranks, dtype=dtype).astype(float, copy=False)
+        rho = np.einsum("ti,tj->ij", ranks, ranks, dtype=dtype)
+        rho = rho.astype(float, copy=False)
     rho -= t * (t + 1.0) ** 2 / 4.0
     rho *= 12.0
     rho /= t * (t * t - 1.0)
@@ -289,8 +295,7 @@ class WeightMatrix:
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diag(values) != 0.0):
             raise ValueError("diagonal entries must be 0")
-        off = ~np.eye(n, dtype=bool)
-        if np.any(values[off] < 0.0):
+        if np.any(values < 0.0):
             raise ValueError("off-diagonal weights must be nonnegative")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "values", values)

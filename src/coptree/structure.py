@@ -3,10 +3,14 @@
 The tree maximizing total pairwise dependence is grown greedily: start
 from the globally heaviest edge, then repeatedly attach the out-of-tree
 vertex with the heaviest crossing edge (Prim on a dense matrix, O(N^2)).
-Each out-of-tree vertex keeps its best crossing edge, and attaching a
-vertex updates all of them with one vectorized compare against its row.
-Ties are broken toward the lexicographically smallest (min index,
-max index) pair, making the result fully deterministic.
+Each out-of-tree vertex keeps its best crossing edge as a weight and an
+in-tree partner, and attaching a vertex updates all of them with one
+vectorized compare against its row.  Ties are broken toward the
+lexicographically smallest (min index, max index) pair, making the result
+fully deterministic.  Of two equal edges into the same vertex, the one
+whose other end is smaller always has the smaller pair, so a vertex keeps
+the smaller partner; the pairs themselves are compared only when several
+vertices hold the top weight.
 """
 from __future__ import annotations
 
@@ -100,13 +104,11 @@ def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
     if n < 2:
         raise ValueError(f"need at least 2 variables, got {n}")
     values = w.values
-    # Each out-of-tree vertex's best crossing edge: its weight and sorted
-    # ends.  In-tree vertices hold -inf so that they are never picked.
-    index = np.arange(n)
+    # Each out-of-tree vertex's best crossing edge: its weight and in-tree
+    # end.  In-tree vertices hold -inf so that they are never picked.
     out = np.ones(n, dtype=bool)
     best = np.full(n, -np.inf)
-    lo = np.zeros(n, dtype=np.int64)
-    hi = np.zeros(n, dtype=np.int64)
+    partner = np.zeros(n, dtype=np.int64)
     # The heaviest edge's smaller end is the first row holding the largest
     # weight (weights are >= 0 with a zero diagonal).  Growing from it
     # attaches the heaviest edge first.
@@ -116,16 +118,22 @@ def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
         out[u] = False
         best[u] = -np.inf
         row = values[u]
-        a, b = np.minimum(index, u), np.maximum(index, u)
-        # the key (weight, -min index, -max index) of (u, v) beats v's best
-        better = out & (
-            (row > best) | ((row == best) & ((a < lo) | ((a == lo) & (b < hi))))
-        )
-        best[better], lo[better], hi[better] = row[better], a[better], b[better]
-        top = np.flatnonzero(best == best.max())
-        top = top[lo[top] == lo[top].min()]
-        u = int(top[np.argmin(hi[top])])
-        edges.append((int(lo[u]), int(hi[u])))
+        # of two equal edges into v, the one with the smaller other end
+        # has the smaller (min index, max index) pair
+        better = out & ((row > best) | ((row == best) & (u < partner)))
+        np.copyto(best, row, where=better)
+        np.copyto(partner, u, where=better)
+        u = int(best.argmax())
+        tied = best == best[u]
+        if np.count_nonzero(tied) > 1:
+            # several vertices hold the top weight: the smallest
+            # (min index, max index) pair, ranked as min * n + max, wins
+            top = tied.nonzero()[0]
+            ends = partner[top]
+            key = np.minimum(top, ends) * n + np.maximum(top, ends)
+            u = int(top[key.argmin()])
+        v = int(partner[u])
+        edges.append((min(u, v), max(u, v)))
     tree_edges = tuple(
         TreeEdge(
             u=w.names[a],

@@ -444,6 +444,23 @@ class TestBulkRhoWeights:
         with mock.patch.object(measures, "_MAX_FLOAT_EXACT_RHO_T", 1):
             assert np.array_equal(measures._rho_matrix(ranks), rho)
 
+    def test_blas_product_on_a_wide_table(self):
+        # 2000 x 150 is large enough for BLAS to block and thread the
+        # product; its integer sums stay exact, so it equals the int64 path
+        t, n = 2000, 150
+        rng = np.random.default_rng(11)
+        permuted = np.argsort(rng.random((t, n)), axis=0) + 1
+        mixed = rng.standard_normal((t, n)) @ rng.standard_normal((n, n))
+        tied = Dataset(columns=tuple(f"c{j}" for j in range(n)),
+                       values=np.round(mixed / 4.0))
+        for ranks in (permuted, column_ranks(tied.values, "random", 0)):
+            rho = measures._rho_matrix(ranks)
+            with mock.patch.object(measures, "_MAX_FLOAT_EXACT_RHO_T", 1):
+                assert np.array_equal(measures._rho_matrix(ranks), rho)
+            assert np.array_equal(rho, rho.T)
+        signed = weight_matrix(tied, "rho_abs").signed
+        assert np.array_equal(signed, signed.T)
+
     def test_exact_and_row_order_free_beyond_float_sums(self):
         # At T = 400000 the rank-product sum of a strongly dependent pair is
         # above 2^53, so float64 partial sums round and the result can

@@ -101,6 +101,35 @@ class TestMaximumSpanningTree:
         got = [(names.index(e.u), names.index(e.v)) for e in tree.edges]
         assert got == literal_prim(values)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ties_across_vertices_match_literal_prim(self, data):
+        # with two weight levels several out-of-tree vertices often share
+        # the top weight, so the pick falls to the (min index, max index) rule
+        n = data.draw(st.integers(2, 40), label="N")
+        heavy = data.draw(st.floats(0.05, 0.95), label="share of heavy edges")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        values = np.zeros((n, n))
+        values[np.triu_indices(n, 1)] = rng.random(n * (n - 1) // 2) < heavy
+        values += values.T
+        names = tuple(f"v{i}" for i in range(n))
+        w = WeightMatrix(names=names, measure="mi_cell", lattice_order=2,
+                         values=values, signed=values)
+        tree = maximum_spanning_tree(w)
+        got = [(names.index(e.u), names.index(e.v)) for e in tree.edges]
+        assert got == literal_prim(values)
+
+    def test_tied_vertices_compare_edge_pairs_not_vertex_indices(self):
+        # After (1, 4), vertex 3 holds weight 2 through partner 4 and vertex
+        # 5 weight 2 through partner 1.  (1, 5) < (3, 4) although 3 < 5.
+        entries = {(i, j): 1.0 for i in range(6) for j in range(i + 1, 6)}
+        entries.update({(1, 4): 3.0, (3, 4): 2.0, (1, 5): 2.0})
+        w = matrix_of(tuple("012345"), entries)
+        got = [(int(e.u), int(e.v)) for e in maximum_spanning_tree(w).edges]
+        assert got[:3] == [(1, 4), (1, 5), (3, 4)]
+        assert got == literal_prim(w.values)
+
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             maximum_spanning_tree(
