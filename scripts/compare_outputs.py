@@ -21,18 +21,24 @@ copies of the package then run the same cases in fresh interpreters:
 
 Prints one line per differing case and a summary; exits 1 if any case
 differs, 0 if none does, and 2 if REF cannot be unpacked or the array
-cases fail to run.
+cases fail to run.  A differing ``.npy`` line gives the largest absolute
+difference of its values; a differing ``*-tree.txt`` or ``learn ... json``
+line says whether the edge list (names and join order) is unchanged and,
+if so, the largest absolute difference of its numbers.
 """
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 HOUSING = ROOT / "data" / "housing.csv"
@@ -107,6 +113,39 @@ def collect(src: Path, work: Path) -> dict[str, bytes]:
     return outputs
 
 
+def _tree(name: str, data: bytes):
+    """Edge list (u, v) in join order and the numbers of a tree output."""
+    if name.endswith("-tree.txt"):
+        rows = [line.split() for line in data.decode().splitlines()]
+        return [tuple(r[:2]) for r in rows], [float(x) for r in rows for x in r[2:]]
+    tree = json.loads(data)
+    edges = tree["edges"]
+    numbers = [x for e in edges for x in (e["weight"], e["signed_value"])]
+    return [(e["u"], e["v"]) for e in edges], numbers + [tree["coverage_ratio"]]
+
+
+def change(name: str, ref: bytes | None, new: bytes | None) -> str:
+    """How far a differing output moved, or "" for a kind not described."""
+    if ref is None or new is None:
+        return " (missing on one side)"
+    try:
+        if name.endswith(".npy"):
+            a, b = np.load(io.BytesIO(ref)), np.load(io.BytesIO(new))
+            if a.shape != b.shape or a.dtype != b.dtype:
+                return " (shape or dtype changed)"
+            diff = np.abs(a.astype(float) - b.astype(float)).max(initial=0.0)
+            return f" (max abs difference {diff:.2g})"
+        if name.endswith("-tree.txt") or (name.startswith("learn ") and name.endswith(" json")):
+            (ref_edges, ref_numbers), (new_edges, new_numbers) = _tree(name, ref), _tree(name, new)
+            if ref_edges != new_edges:
+                return " (edge list changed)"
+            diff = max((abs(p - q) for p, q in zip(ref_numbers, new_numbers)), default=0.0)
+            return f" (edge list unchanged, max abs difference {diff:.2g})"
+    except (ValueError, KeyError, TypeError):
+        return " (unreadable)"
+    return ""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare against")
@@ -127,7 +166,7 @@ def main(argv=None) -> int:
     differ = sorted(name for name in ref.keys() | new.keys()
                     if ref.get(name) != new.get(name))
     for name in differ:
-        print(f"DIFFERS: {name}")
+        print(f"DIFFERS: {name}{change(name, ref.get(name), new.get(name))}")
     print(f"{len(differ)} of {len(ref.keys() | new.keys())} outputs differ from {args.ref}")
     return 1 if differ else 0
 

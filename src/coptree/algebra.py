@@ -207,15 +207,7 @@ class CopulaBlock:
         variables = tuple(_integer(v, "block vars") for v in self.variables)
         if not variables:
             raise ValueError("block needs at least one variable")
-        if self.family not in PAIR_FAMILIES:
-            raise ValueError(f"unknown block family {self.family!r}")
-        if self.family == "gaussian":
-            if not isinstance(self.theta, numbers.Real) or not -1.0 < self.theta < 1.0:
-                raise ValueError(
-                    f"gaussian theta must be in (-1, 1), got {self.theta}"
-                )
-        elif self.theta is not None:
-            raise ValueError("independence block takes no theta")
+        PairCopula(self.family, self.theta)  # checks family and theta
         object.__setattr__(self, "variables", variables)
 
 

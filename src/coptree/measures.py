@@ -10,8 +10,11 @@ nominal 1/K margins of a copula ("mi_kde").  Both depend on ranks only.
 BLAS product R^T R of the float64 rank matrix (while every partial sum is
 an integer of at most 2^53, so it is exact and the same for any BLAS
 kernel or thread count; an int64 product beyond), the MI measures from
-one cell-counting pass per column.  The single-pair functions check their
-inputs and then call the same kernels on two columns.
+one cell-counting pass per column and one array expression over each
+block of integer cell counts.  Each cell's ratio to its margins is one
+division of two integer products, exact in float64 while T^2 <= 2^53, so
+an exactly independent grid scores exactly 0.  The single-pair functions
+check their inputs and then call the same kernels on two columns.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 """
 from __future__ import annotations
@@ -96,13 +99,6 @@ def spearman_rho(rank_x, rank_y) -> float:
     below a lattice point, so the evaluation is O(T) after ranking.
     """
     return float(_rho_matrix(_rank_pair(rank_x, rank_y))[0, 1])
-
-
-def _plugin_mi(m: np.ndarray, row: np.ndarray, col: np.ndarray) -> float:
-    # sum_ij m_ij ln(m_ij / (row_i col_j)) over the occupied cells
-    occupied = m > 0
-    expected = np.outer(row, col)
-    return float(np.sum(m[occupied] * np.log(m[occupied] / expected[occupied])))
 
 
 def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
@@ -239,15 +235,20 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
     i over the columns j > i, taken in blocks of at most
     ``_MAX_BLOCK_CELLS`` elements: block column j adds the pair's cell
     index cell_i * K + cell_j to a (j - lo) * K^2 offset, so the pairs'
-    grids lie side by side in one count vector.  The MI of each grid is
-    then summed by :func:`_plugin_mi` exactly as for a single pair, against
-    the observed margins or the nominal 1/K ones.
+    grids lie side by side in one count vector.  Reshaped to
+    (pairs, K, K), the integer counts n_ij give every cell's ratio to its
+    margins in one division: n_ij T / (n_i. n_.j) against the observed
+    margins, n_ij K^2 / T against the nominal 1/K ones.  Both integer
+    products are at most T^2, so while T^2 <= 2^53 they are exact in
+    float64 and the ratio is correctly rounded; an exactly independent
+    grid has every ratio exactly 1 and an MI of exactly 0.0.  Empty cells
+    take the ratio 1, so they add 0, and each pair's MI is
+    sum_ij n_ij ln(ratio_ij) / T.
     """
     t, n = ranks.shape
     cells = _cell_indices(ranks, order).T.copy()
     area = order * order
     width = max(1, _MAX_BLOCK_CELLS // max(t, area))
-    uniform = np.full(order, 1.0 / order)
     values = np.zeros((n, n))
     for i in range(n - 1):
         row = cells[i] * order
@@ -256,13 +257,15 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
             flat = cells[lo:hi] + row
             flat += np.arange(0, (hi - lo) * area, area)[:, np.newaxis]
             counts = np.bincount(flat.ravel(), minlength=(hi - lo) * area)
-            for j, grid in enumerate(counts.reshape(-1, order, order), start=lo):
-                m = grid / t
-                if observed_margins:
-                    w = _plugin_mi(m, m.sum(axis=1), m.sum(axis=0))
-                else:
-                    w = _plugin_mi(m, uniform, uniform)
-                values[i, j] = values[j, i] = w
+            counts = counts.reshape(-1, order, order)
+            if observed_margins:  # n_ij T / (n_i. n_.j)
+                num = counts * t
+                den = counts.sum(axis=2, keepdims=True) * counts.sum(axis=1, keepdims=True)
+            else:  # n_ij K^2 / T
+                num, den = counts * area, t
+            ratio = np.divide(num, den, out=np.ones(counts.shape), where=counts > 0)
+            values[i, lo:hi] = (counts * np.log(ratio)).sum(axis=(1, 2)) / t
+            values[lo:hi, i] = values[i, lo:hi]
     return values
 
 

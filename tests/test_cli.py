@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from coptree import column_ranks, load_dataset, spearman_rho
+from coptree import column_ranks, learn_structure, load_dataset, spearman_rho
 from coptree.cli import main
 
 TREE_SCHEMA = {
@@ -170,6 +170,30 @@ class TestLearn:
     def test_negative_tie_seed_exits_one(self, toy_csv, capsys):
         assert main(["learn", "--input", str(toy_csv), "--tie-seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: tie_seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("measure", ["mi-cell", "mi-kde"])
+    def test_balanced_two_factor_design(self, tmp_path, measure):
+        # a and b cross 10 levels each with 20 replicates per cell: at the
+        # default lattice order K = 10 their grid is exactly independent,
+        # so their weight must be exactly 0, never a rounded negative
+        path = tmp_path / "design.csv"
+        a, b = np.divmod(np.arange(2000) // 20, 10)
+        y = a + b + np.random.default_rng(35).standard_normal(2000)
+        rows = "\n".join(f"{p},{q},{float(r)!r}" for p, q, r in zip(a, b, y))
+        path.write_text("a,b,y\n" + rows + "\n")
+        data = load_dataset(path)
+        for tie_seed in (0, 1, 2):
+            out = tmp_path / f"tree{tie_seed}.json"
+            assert main(["learn", "--input", str(path), "--measure", measure,
+                         "--tie-seed", str(tie_seed), "--json", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            jsonschema.validate(payload, TREE_SCHEMA)
+            assert payload["lattice_order"] == 10
+            assert {(e["u"], e["v"]) for e in payload["edges"]} == {("a", "y"), ("b", "y")}
+            tree = learn_structure(data, measure.replace("-", "_"), tie_seed=tie_seed)
+            assert [(e.u, e.v, e.weight) for e in tree.edges] == [
+                (e["u"], e["v"], e["weight"]) for e in payload["edges"]
+            ]
 
     def test_degenerate_column_with_kde_exits_one(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"

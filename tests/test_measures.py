@@ -309,6 +309,16 @@ class TestWeightMatrix:
                              values=values, signed=signed)
 
 
+def balanced_grid_ranks(order, per_cell):
+    """A rank pair with exactly per_cell samples in every cell of the
+    order-K lattice: an exactly independent grid."""
+    a, rest = np.divmod(np.arange(order * order * per_cell), order * per_cell)
+    b, rep = np.divmod(rest, per_cell)
+    rank_x = (a * order + b) * per_cell + rep + 1
+    rank_y = (b * order + a) * per_cell + rep + 1
+    return rank_x, rank_y
+
+
 class TestBulkMiWeights:
     """The MI measures count every pair's cells in one pass per column."""
 
@@ -339,6 +349,47 @@ class TestBulkMiWeights:
         for w in (cell, kde):
             assert np.array_equal(w.values, w.values.T)
             assert np.array_equal(w.values, w.signed)
+
+    @pytest.mark.parametrize("order, per_cell", [(5, 4), (12, 1)])
+    def test_exactly_independent_grid_scores_zero(self, order, per_cell):
+        rank_x, rank_y = balanced_grid_ranks(order, per_cell)
+        table = Dataset(columns=("x", "y"), values=np.column_stack([rank_x, rank_y]) * 1.0)
+        for measure in ("mi_cell", "mi_kde"):
+            assert weight_matrix(table, measure, order).values[0, 1] == 0.0
+        assert mutual_info_cell(rank_x, rank_y, order) == 0.0
+        assert mutual_info_kde(rank_x, rank_y, order) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_margin_preserving_swaps_of_a_balanced_grid(self, data):
+        order = data.draw(st.integers(2, 12), label="K")
+        per_cell = data.draw(st.integers(1, 5), label="per cell")
+        swaps = data.draw(st.integers(0, 3), label="swaps")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        rank_x, rank_y = balanced_grid_ranks(order, per_cell)
+        t = rank_x.size
+        for _ in range(swaps):
+            # moving one sample each from cells (a1, b2) and (a2, b1) to
+            # (a1, b1) and (a2, b2) keeps every row and column sum
+            a1, a2 = rng.choice(order, 2, replace=False)
+            b1, b2 = rng.choice(order, 2, replace=False)
+            cell_x = (rank_x * order - 1) // t
+            cell_y = (rank_y * order - 1) // t
+            first = np.flatnonzero((cell_x == a1) & (cell_y == b2))
+            second = np.flatnonzero((cell_x == a2) & (cell_y == b1))
+            if first.size and second.size:
+                i, j = rng.choice(first), rng.choice(second)
+                rank_y[i], rank_y[j] = rank_y[j], rank_y[i]
+        pair = np.column_stack([rank_x, rank_y])
+        table = Dataset(columns=("x", "y"), values=pair * 1.0)
+        cell = weight_matrix(table, "mi_cell", order).values[0, 1]
+        kde = weight_matrix(table, "mi_kde", order).values[0, 1]
+        assert cell >= 0.0 and kde >= 0.0
+        assert abs(cell - observed_margin_mi(pair, order)) <= 1e-12
+        assert abs(kde - uniform_margin_mi(pair, order)) <= 1e-12
+        if swaps == 0:
+            assert cell == kde == 0.0
 
     @staticmethod
     def _per_pair(ranks, measure, order):
