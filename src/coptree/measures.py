@@ -4,8 +4,11 @@ Spearman's rho is evaluated through the empirical copula lattice at order
 T; the double sum over the lattice telescopes to an O(T) expression in the
 rank products, so no grid is materialized.  Mutual information is the
 plug-in KL divergence of the order-K lattice cell masses from a product of
-margins: the grid's observed row and column sums ("mi_cell"), or the
-nominal 1/K margins of a copula ("mi_kde").  Both depend on ranks only.
+margins: the grid's row and column sums ("mi_cell"), or the nominal 1/K
+margins of a copula ("mi_kde").  Both depend on ranks only.  As every rank
+column is a permutation of 1..T, lattice cell c (0-based) holds
+m_c = floor((c+1)T/K) - floor(cT/K) samples of every column, so the
+observed margins are one vector fixed by (T, K).
 :func:`weight_matrix` scores every column pair at once: rho_abs from one
 BLAS product R^T R of the float64 rank matrix (while every partial sum is
 an integer of at most 2^53, so it is exact and the same for any BLAS
@@ -106,8 +109,10 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
 
     Builds the K x K copula mass grid of the rank pair and returns
     sum_ij m_ij * ln(m_ij / (m_i. * m_.j)) with 0 ln 0 := 0, where the
-    margins m_i., m_.j are the grid's row and column sums.  Nonnegative
-    (it is a KL divergence) and symmetric in its arguments.
+    margins m_i., m_.j are the grid's row and column sums.  For rank
+    columns those are the same for both variables and every pair: cell
+    c (0-based) holds floor((c+1)T/K) - floor(cT/K) of the T samples.
+    Nonnegative (it is a KL divergence) and symmetric in its arguments.
 
     Note: the estimator carries an upward bias of roughly
     (K-1)^2 / (2T) nats at independence; keep K well below sqrt(T)
@@ -237,9 +242,12 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
     index cell_i * K + cell_j to a (j - lo) * K^2 offset, so the pairs'
     grids lie side by side in one count vector.  Reshaped to
     (pairs, K, K), the integer counts n_ij give every cell's ratio to its
-    margins in one division: n_ij T / (n_i. n_.j) against the observed
-    margins, n_ij K^2 / T against the nominal 1/K ones.  Both integer
-    products are at most T^2, so while T^2 <= 2^53 they are exact in
+    margins in one division: n_ij T / (m_i m_j) against the observed
+    margins, n_ij K^2 / T against the nominal 1/K ones.  The observed
+    margins are not summed from the counts: every rank column puts
+    m_c = floor((c+1)T/K) - floor(cT/K) samples in cell c, so one
+    ``np.outer(m, m)`` serves every pair.  Both integer products are at
+    most T^2, so while T^2 <= 2^53 they are exact in
     float64 and the ratio is correctly rounded; an exactly independent
     grid has every ratio exactly 1 and an MI of exactly 0.0.  Empty cells
     take the ratio 1, so they add 0, and each pair's MI is
@@ -249,6 +257,11 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
     cells = _cell_indices(ranks, order).T.copy()
     area = order * order
     width = max(1, _MAX_BLOCK_CELLS // max(t, area))
+    if observed_margins:  # n_ij T / (m_i m_j)
+        margin = np.diff(np.arange(order + 1) * t // order)
+        scale, den = t, np.outer(margin, margin)
+    else:  # n_ij K^2 / T
+        scale, den = area, t
     values = np.zeros((n, n))
     for i in range(n - 1):
         row = cells[i] * order
@@ -258,12 +271,7 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
             flat += np.arange(0, (hi - lo) * area, area)[:, np.newaxis]
             counts = np.bincount(flat.ravel(), minlength=(hi - lo) * area)
             counts = counts.reshape(-1, order, order)
-            if observed_margins:  # n_ij T / (n_i. n_.j)
-                num = counts * t
-                den = counts.sum(axis=2, keepdims=True) * counts.sum(axis=1, keepdims=True)
-            else:  # n_ij K^2 / T
-                num, den = counts * area, t
-            ratio = np.divide(num, den, out=np.ones(counts.shape), where=counts > 0)
+            ratio = np.divide(counts * scale, den, out=np.ones(counts.shape), where=counts > 0)
             values[i, lo:hi] = (counts * np.log(ratio)).sum(axis=(1, 2)) / t
             values[lo:hi, i] = values[i, lo:hi]
     return values

@@ -23,6 +23,7 @@ from coptree import (
     weight_matrix,
 )
 from coptree import measures
+from coptree.empirical import _cell_indices
 from oracles import naive_spearman, observed_margin_mi, uniform_margin_mi
 
 
@@ -390,6 +391,19 @@ class TestBulkMiWeights:
         assert abs(kde - uniform_margin_mi(pair, order)) <= 1e-12
         if swaps == 0:
             assert cell == kde == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_rank_column_has_the_fixed_lattice_margins(self, data):
+        # _mi_weights takes the mi_cell margins from (T, K) instead of
+        # summing each pair's counts; this is the fact that allows it
+        t = data.draw(st.integers(2, 400), label="T")
+        order = data.draw(st.integers(2, t), label="K")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        column = np.random.default_rng(seed).permutation(t) + 1
+        cells = _cell_indices(column[:, np.newaxis], order)[:, 0]
+        margin = np.diff(np.arange(order + 1) * t // order)
+        assert np.array_equal(np.bincount(cells, minlength=order), margin)
 
     @staticmethod
     def _per_pair(ranks, measure, order):
