@@ -12,6 +12,10 @@ copies of the package then run the same cases in fresh interpreters:
 
 - ``coptree learn`` on data/housing.csv: the --json file, the --dot file
   and stdout, for each measure and tie seeds 0 and 1;
+- the same for each measure on a 1000 x 8 table whose untied and tied
+  columns alternate, generated from a fixed seed into the temporary
+  directory (every housing column is tied, so only this table shows
+  which columns draw a random tie order);
 - ``coptree measure`` stdout for three column pairs and each measure;
 - ``column_ranks`` (both tie modes) and ``weight_matrix`` ``values`` and
   ``signed`` (each measure) on a tied 50000 x 16 and a tied 500 x 300
@@ -80,22 +84,43 @@ def _run(src: Path, args, cwd: Path) -> bytes:
     return b"exit %d\n" % done.returncode + done.stdout
 
 
+def _learn(src: Path, work: Path, case: str, args) -> dict[str, bytes]:
+    """stdout, --json and --dot bytes of one ``coptree learn`` run."""
+    json_path, dot_path = work / "tree.json", work / "tree.dot"
+    outputs = {f"{case} stdout": _run(src, [
+        "-m", "coptree.cli", "learn", *args,
+        "--json", str(json_path), "--dot", str(dot_path),
+    ], work)}
+    for label, path in (("json", json_path), ("dot", dot_path)):
+        outputs[f"{case} {label}"] = path.read_bytes() if path.exists() else b""
+        path.unlink(missing_ok=True)
+    return outputs
+
+
+def _write_mixed_table(path: Path) -> None:
+    """A dependent 1000 x 8 CSV: even columns untied, odd ones rounded."""
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((1000, 8)) @ np.triu(rng.standard_normal((8, 8)))
+    values[:, 1::2] = np.round(values[:, 1::2])
+    np.savetxt(path, values, fmt="%.17g", delimiter=",", comments="",
+               header=",".join(f"m{j}" for j in range(8)))
+
+
 def collect(src: Path, work: Path) -> dict[str, bytes]:
     """Output bytes of every case, keyed by case name, for the package in src."""
     work.mkdir()
     outputs = {}
     for measure in MEASURES:
         for tie_seed in ("0", "1"):
-            case = f"learn {measure} tie-seed {tie_seed}"
-            json_path, dot_path = work / "tree.json", work / "tree.dot"
-            outputs[f"{case} stdout"] = _run(src, [
-                "-m", "coptree.cli", "learn", "--input", str(HOUSING),
-                "--measure", measure, "--tie-seed", tie_seed,
-                "--json", str(json_path), "--dot", str(dot_path),
-            ], work)
-            for label, path in (("json", json_path), ("dot", dot_path)):
-                outputs[f"{case} {label}"] = path.read_bytes() if path.exists() else b""
-                path.unlink(missing_ok=True)
+            outputs.update(_learn(src, work, f"learn {measure} tie-seed {tie_seed}", [
+                "--input", str(HOUSING), "--measure", measure, "--tie-seed", tie_seed,
+            ]))
+    mixed = work / "mixed.csv"
+    _write_mixed_table(mixed)
+    for measure in MEASURES:
+        outputs.update(_learn(src, work, f"learn {measure} mixed table", [
+            "--input", str(mixed), "--measure", measure,
+        ]))
     for pair in PAIRS:
         for measure in MEASURES:
             outputs[f"measure {pair} {measure} stdout"] = _run(src, [

@@ -40,7 +40,7 @@ MARGIN_FAMILIES = ("standard_normal", "exponential")
 
 def _check_open_unit(u, name: str):
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails both comparisons
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return u
 

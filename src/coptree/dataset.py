@@ -240,7 +240,7 @@ def column_ranks(
         in a seeded random order drawn independently per column, which
         removes the spurious cross-column dependence that shared row
         ordering induces between heavily tied columns.  Columns without
-        ties get identical ranks under both modes.
+        ties get identical ranks under both modes and draw nothing.
     tie_seed : int
         Seed for the "random" mode, an integer >= 0; ignored for "stable".
 
@@ -257,11 +257,11 @@ def column_ranks(
     count as equal; so do -0.0 and 0.0) is sorted again on the distinct
     int64 key ``value code * T + tie position``: the value code is the
     dense rank of the value, the tie position the row index ("stable") or
-    the row's position in the column's random permutation ("random").  The
-    permutations are drawn for every column, tied or not, as rows of one
-    ``Generator.permuted`` call per block, which takes the same stream as
-    one ``Generator.permutation(T)`` per column.  So the ranks equal those
-    of a stable sort of each column, shuffled first under "random".
+    the row's position in the column's random permutation ("random").  Only
+    tied columns draw one, as rows of one ``Generator.permuted`` call per
+    block: the stream of one ``Generator.permutation(T)`` per tied column.
+    So the ranks equal those of a stable sort of each column, each tied
+    column shuffled first under "random".
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -285,8 +285,6 @@ def column_ranks(
         rises = ordered[:, 1:] != ordered[:, :-1]
         rises &= ~np.isnan(ordered[:, :-1])  # NaNs sort last, as one value
         tied = ~np.all(rises, axis=1)
-        if rng is not None:
-            perm = rng.permuted(np.broadcast_to(np.arange(t), block.shape), axis=1)
         if np.any(tied):
             rows = order[tied]
             code = np.zeros(rows.shape, dtype=np.int64)
@@ -295,7 +293,7 @@ def column_ranks(
             if rng is None:
                 key = code + rows
             else:
-                perm = perm[tied]
+                perm = rng.permuted(np.broadcast_to(np.arange(t), rows.shape), axis=1)
                 place = np.empty_like(perm)
                 np.put_along_axis(place, perm, positions - 1, axis=1)
                 key = code + np.take_along_axis(place, rows, axis=1)

@@ -119,7 +119,7 @@ def empirical_copula(ranks: RankMatrix, u) -> float:
     t, n = ranks.sample_count, ranks.dim
     if u.shape != (n,):
         raise ValueError(f"point must have length {n}, got shape {u.shape}")
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails both comparisons
         raise ValueError("point must lie in the unit hypercube")
     thresholds = np.floor(u * t + _FLOOR_SLACK).astype(np.int64)
     inside = np.all(ranks.ranks <= thresholds[np.newaxis, :], axis=1)

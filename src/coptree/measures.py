@@ -4,11 +4,9 @@ Spearman's rho is evaluated through the empirical copula lattice at order
 T; the double sum over the lattice telescopes to an O(T) expression in the
 rank products, so no grid is materialized.  Mutual information is the
 plug-in KL divergence of the order-K lattice cell masses from a product of
-margins: the grid's row and column sums ("mi_cell"), or the nominal 1/K
-margins of a copula ("mi_kde").  Both depend on ranks only.  As every rank
-column is a permutation of 1..T, lattice cell c (0-based) holds
-m_c = floor((c+1)T/K) - floor(cT/K) samples of every column, so the
-observed margins are one vector fixed by (T, K).
+margins: the grid's row and column sums, fixed by (T, K) for rank columns
+("mi_cell"), or the nominal 1/K margins of a copula ("mi_kde").  Both
+depend on ranks only.
 :func:`weight_matrix` scores every column pair at once: rho_abs from one
 BLAS product R^T R of the float64 rank matrix (while every partial sum is
 an integer of at most 2^53, so it is exact and the same for any BLAS
@@ -109,10 +107,9 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
 
     Builds the K x K copula mass grid of the rank pair and returns
     sum_ij m_ij * ln(m_ij / (m_i. * m_.j)) with 0 ln 0 := 0, where the
-    margins m_i., m_.j are the grid's row and column sums.  For rank
-    columns those are the same for both variables and every pair: cell
-    c (0-based) holds floor((c+1)T/K) - floor(cT/K) of the T samples.
-    Nonnegative (it is a KL divergence) and symmetric in its arguments.
+    margins m_i., m_.j are the grid's row and column sums (the same fixed
+    vector for every rank column, see ``_mi_weights``).  Nonnegative (it
+    is a KL divergence) and symmetric in its arguments.
 
     Note: the estimator carries an upward bias of roughly
     (K-1)^2 / (2T) nats at independence; keep K well below sqrt(T)
@@ -243,11 +240,10 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
     grids lie side by side in one count vector.  Reshaped to
     (pairs, K, K), the integer counts n_ij give every cell's ratio to its
     margins in one division: n_ij T / (m_i m_j) against the observed
-    margins, n_ij K^2 / T against the nominal 1/K ones.  The observed
-    margins are not summed from the counts: every rank column puts
-    m_c = floor((c+1)T/K) - floor(cT/K) samples in cell c, so one
-    ``np.outer(m, m)`` serves every pair.  Both integer products are at
-    most T^2, so while T^2 <= 2^53 they are exact in
+    margins, n_ij K^2 / T against the nominal 1/K ones.  Every rank column
+    puts m_c = floor((c+1)T/K) - floor(cT/K) samples in cell c, so the
+    observed margins of every pair are that one vector.  Both integer
+    products are at most T^2, so while T^2 <= 2^53 they are exact in
     float64 and the ratio is correctly rounded; an exactly independent
     grid has every ratio exactly 1 and an MI of exactly 0.0.  Empty cells
     take the ratio 1, so they add 0, and each pair's MI is
@@ -257,11 +253,8 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
     cells = _cell_indices(ranks, order).T.copy()
     area = order * order
     width = max(1, _MAX_BLOCK_CELLS // max(t, area))
-    if observed_margins:  # n_ij T / (m_i m_j)
-        margin = np.diff(np.arange(order + 1) * t // order)
-        scale, den = t, np.outer(margin, margin)
-    else:  # n_ij K^2 / T
-        scale, den = area, t
+    margin = np.diff(np.arange(order + 1) * t // order)
+    scale, den = (t, np.outer(margin, margin)) if observed_margins else (area, t)
     values = np.zeros((n, n))
     for i in range(n - 1):
         row = cells[i] * order

@@ -194,7 +194,7 @@ def literal_column_ranks(
         in a seeded random order drawn independently per column, which
         removes the spurious cross-column dependence that shared row
         ordering induces between heavily tied columns.  Columns without
-        ties get identical ranks under both modes.
+        ties get identical ranks under both modes and draw nothing.
     tie_seed : int
         Seed for the "random" mode, >= 0; ignored for "stable".
 
@@ -215,13 +215,14 @@ def literal_column_ranks(
     rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
     positions = np.arange(1, t + 1, dtype=np.int64)
     for j in range(n):
-        if rng is None:
-            order = np.argsort(values[:, j], kind="stable")
-        else:
+        # np.unique counts NaNs as one value and -0.0 as 0.0
+        if rng is not None and np.unique(values[:, j]).size < t:
             # Shuffle rows first so equal values end up in random order;
             # distinct values are unaffected by the reshuffle.
             perm = rng.permutation(t)
             order = perm[np.argsort(values[perm, j], kind="stable")]
+        else:
+            order = np.argsort(values[:, j], kind="stable")
         ranks[order, j] = positions
     return ranks
 

@@ -40,6 +40,14 @@ class TestPairCopula:
             with pytest.raises(ValueError, match="strictly inside"):
                 copula.density(u, v)
 
+    def test_nan_rejected(self):
+        copula = PairCopula("gaussian", 0.5)
+        for u, v in [(np.nan, 0.5), (0.5, np.nan), ([0.5, np.nan], [0.5, 0.5])]:
+            with pytest.raises(ValueError, match="strictly inside"):
+                copula.density(u, v)
+        with pytest.raises(ValueError, match="strictly inside"):
+            MarginSpec("standard_normal").quantile(np.nan)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="theta"):
             PairCopula("gaussian", 1.0)

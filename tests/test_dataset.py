@@ -386,6 +386,34 @@ class TestBlockRanks:
                 assert np.array_equal(column_ranks(values, "random", tie_seed),
                                       literal_column_ranks(values, "random", tie_seed))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_untied_columns_draw_nothing(self, data):
+        # inserting columns without ties anywhere in a tied table leaves
+        # every tied column's random tie order as it was
+        t = data.draw(st.integers(2, 60), label="T")
+        n = data.draw(st.integers(1, 5), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        tied = rng.integers(0, data.draw(st.integers(1, 4)), (t, n)).astype(float)
+        tied[1] = tied[0]
+        extra = data.draw(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1),
+                          label="columns inserted before each tied column")
+        parts, kept = [], []
+        for j in range(n + 1):
+            parts += [rng.permutation(t) + 0.5 for _ in range(extra[j])]
+            if j < n:
+                kept.append(len(parts))
+                parts.append(tied[:, j])
+        mixed = np.column_stack(parts)
+        inserted = np.setdiff1d(np.arange(len(parts)), kept)
+        tie_seed = data.draw(st.integers(0, 2**64), label="tie seed")
+        for cells in (1, t, 3 * t, 2**16):
+            with mock.patch.object(dataset, "_MAX_RANK_BLOCK_CELLS", cells):
+                ranks = column_ranks(mixed, "random", tie_seed)
+                assert np.array_equal(ranks[:, kept], column_ranks(tied, "random", tie_seed))
+                assert np.array_equal(ranks[:, inserted],
+                                      column_ranks(mixed[:, inserted], "stable"))
+
     @pytest.mark.parametrize("tie_break", ["stable", "random"])
     def test_empty_table(self, tie_break):
         # T = 0 rows: the block width must not divide by zero
@@ -418,3 +446,13 @@ class TestBlockRanks:
         # randomized result; this fails loudly when it does
         ranks = column_ranks(housing.values, "random", tie_seed)
         assert hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest() == digest
+
+    def test_random_tie_stream_is_pinned_on_a_mixed_table(self):
+        # every housing column is tied; here untied columns come before
+        # tied ones, so the pin also fixes which columns draw
+        rows = np.arange(13.0)
+        values = np.column_stack([(rows * 5) % 13, rows % 4, -rows, rows // 3,
+                                  np.sqrt(rows), (rows * rows) % 5])
+        ranks = column_ranks(values, "random", 0)
+        assert (hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest()
+                == "5351876d89c5d1433a033f7ba3ed36d5c3794fc2d03dcb3653efef37c7a17690")

@@ -55,6 +55,11 @@ class TestPointEvaluation:
         with pytest.raises(ValueError, match="unit hypercube"):
             empirical_copula(EXAMPLE_3, (-0.1, 0.5))
 
+    def test_nan_coordinate_rejected(self):
+        for u in [(np.nan, 0.5), (0.5, np.nan)]:
+            with pytest.raises(ValueError, match="unit hypercube"):
+                empirical_copula(EXAMPLE_3, u)
+
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
             empirical_copula(EXAMPLE_3, (0.5, 0.5, 0.5))
