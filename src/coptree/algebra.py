@@ -139,12 +139,14 @@ def sample_gaussian_copula(sigma, count: int, seed: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If sigma is not symmetric with unit diagonal, or the Cholesky
-        factorization fails (not positive definite).
+        If sigma is not finite, not symmetric with unit diagonal, or the
+        Cholesky factorization fails (not positive definite).
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"sigma must be square, got shape {sigma.shape}")
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("sigma must be finite")
     if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-12:
         raise ValueError("sigma must be symmetric")
     if np.abs(np.diag(sigma) - 1.0).max(initial=0.0) > 1e-12:

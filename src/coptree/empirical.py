@@ -70,16 +70,19 @@ class CopulaGrid:
             )
 
 
-def _check_order(order: int, sample_count: int, dim: int) -> None:
-    if not 1 <= order <= sample_count:
+def _check_order(order, lowest: int, sample_count: int) -> int:
+    """``order`` as an int, once it is checked to be an integer (not a
+    bool) in [lowest, sample_count]."""
+    if (
+        isinstance(order, bool)
+        or not isinstance(order, (int, np.integer))
+        or not lowest <= order <= sample_count
+    ):
         raise ValueError(
-            f"lattice order must be in [1, {sample_count}], got {order}"
+            f"lattice order must be an integer in [{lowest}, {sample_count}], "
+            f"got {order!r}"
         )
-    if order**dim > _MAX_CELLS:
-        raise ValueError(
-            f"grid of order {order} in dimension {dim} exceeds "
-            f"{_MAX_CELLS} cells"
-        )
+    return int(order)
 
 
 def _cell_indices(ranks: np.ndarray, order: int) -> np.ndarray:
@@ -94,6 +97,10 @@ def _cell_counts(ranks: np.ndarray, order: int) -> np.ndarray:
     ``ranks`` is a T x N array whose columns are permutations of 1..T.
     """
     t, n = ranks.shape
+    if order**n > _MAX_CELLS:
+        raise ValueError(
+            f"grid of order {order} in dimension {n} exceeds {_MAX_CELLS} cells"
+        )
     cells = _cell_indices(ranks, order)
     flat = np.ravel_multi_index(tuple(cells.T), (order,) * n)
     return np.bincount(flat, minlength=order**n).reshape((order,) * n)
@@ -134,7 +141,7 @@ def copula_cdf_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
     bin-and-accumulate pass over the samples, not by K^N evaluations.
     """
     t, n = ranks.sample_count, ranks.dim
-    _check_order(order, t, n)
+    order = _check_order(order, 1, t)
     # a leading zero per axis grounds the grid before the running sums
     counts = np.pad(_cell_counts(ranks.ranks, order), [(1, 0)] * n)
     for axis in range(n):
@@ -151,6 +158,6 @@ def copula_mass_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
     are nonnegative and sum to 1.
     """
     t, n = ranks.sample_count, ranks.dim
-    _check_order(order, t, n)
+    order = _check_order(order, 1, t)
     counts = _cell_counts(ranks.ranks, order)
     return CopulaGrid(order=order, dim=n, kind="mass", values=counts / t)

@@ -15,7 +15,8 @@ one cell-counting pass per column and one array expression over each
 block of integer cell counts.  Each cell's ratio to its margins is one
 division of two integer products, exact in float64 while T^2 <= 2^53, so
 an exactly independent grid scores exactly 0.  The single-pair functions
-check their inputs and then call the same kernels on two columns.
+check their two rank columns, resolve the lattice order as
+:func:`weight_matrix` does, and then call the same kernels on two columns.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 """
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, _check_permutations, column_ranks
-from .empirical import _cell_indices, default_lattice_order
+from .empirical import _cell_indices, _check_order, default_lattice_order
 
 __all__ = [
     "MEASURES",
@@ -63,6 +64,15 @@ def _rank_pair(rank_x, rank_y) -> np.ndarray:
     if pair[0].shape != pair[1].shape:
         raise ValueError(f"length mismatch: {pair[0].shape[0]} vs {pair[1].shape[0]}")
     return _check_permutations(np.column_stack(pair), ("rank_x", "rank_y"))
+
+
+def _lattice_order(order, t: int) -> int:
+    """The lattice order K that ``order`` asks for at T samples: 0 picks
+    ``default_lattice_order(T)``, anything else must be an integer (not a
+    bool) in [2, T]."""
+    if isinstance(order, (int, np.integer)) and order is not False and order == 0:
+        return default_lattice_order(t)
+    return _check_order(order, 2, t)
 
 
 def _rho_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -114,14 +124,12 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
     Note: the estimator carries an upward bias of roughly
     (K-1)^2 / (2T) nats at independence; keep K well below sqrt(T)
     when absolute values matter (see ``default_lattice_order``).
+    ``lattice_order`` 0 picks ``default_lattice_order(T)``, as in
+    :func:`weight_matrix`.
     """
     ranks = _rank_pair(rank_x, rank_y)
-    t = ranks.shape[0]
-    if not 2 <= lattice_order <= t:
-        raise ValueError(
-            f"lattice order must be in [2, {t}], got {lattice_order}"
-        )
-    return float(_mi_weights(ranks, lattice_order, True)[0, 1])
+    order = _lattice_order(lattice_order, ranks.shape[0])
+    return float(_mi_weights(ranks, order, True)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -190,44 +198,20 @@ class KernelDensity:
         return float(out[0]) if scalar else out
 
 
-def mutual_info_kde(
-    x,
-    y,
-    lattice_order: int,
-    tie_break: str = "random",
-    tie_seed: int = 0,
-) -> float:
+def mutual_info_kde(rank_x, rank_y, lattice_order: int) -> float:
     """Lattice mutual information (nats) against nominal 1/K margins.
 
     Returns sum_ij m_ij * ln(m_ij * K^2) over the occupied cells of the
-    order-K mass grid of the ranked pair.  That is the sample mean of
+    order-K mass grid of the rank pair.  That is the sample mean of
     ln(c_t), with c_t the copula cell density (cell mass times K^2) at
     sample t: an estimate of the copula-entropy integral ``int c ln c du``.
-    The kernel-margin form, p_x(x_t) * p_y(y_t) * c_t * ln(c_t) weighted
-    by the inverse joint density 1 / (p_x * p_y * c_t), reduces to the
-    same mean because the margins cancel.  So the value depends on the
-    ranks only, and equals ``mutual_info_cell`` whenever K divides T
-    (the observed margins are then exactly 1/K).
-
-    ``lattice_order`` 0 picks ``default_lattice_order(T)``, as in
-    :func:`weight_matrix`.
-
-    Raises
-    ------
-    ValueError
-        On length mismatch, fewer than 10 samples, a lattice order
-        outside [2, T], a non-finite value, or a zero-variance column.
+    It equals ``mutual_info_cell`` whenever K divides T (the observed
+    margins are then exactly 1/K).  ``lattice_order`` 0 picks
+    ``default_lattice_order(T)``, as in :func:`weight_matrix`.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    t = x.shape[0]
-    if t < 10:
-        raise ValueError(f"need at least 10 samples, got {t}")
-    pair = Dataset(columns=("x", "y"), values=np.column_stack([x, y]))
-    w = weight_matrix(pair, "mi_kde", lattice_order, tie_break, tie_seed)
-    return float(w.values[0, 1])
+    ranks = _rank_pair(rank_x, rank_y)
+    order = _lattice_order(lattice_order, ranks.shape[0])
+    return float(_mi_weights(ranks, order, False)[0, 1])
 
 
 def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.ndarray:
@@ -314,7 +298,6 @@ def weight_matrix(
     data: Dataset,
     measure: str = "mi_cell",
     lattice_order: int = 0,
-    tie_break: str = "random",
     tie_seed: int = 0,
 ) -> WeightMatrix:
     """Pairwise dependence weights for every unordered column pair.
@@ -324,18 +307,18 @@ def weight_matrix(
     data : Dataset
     measure : {"rho_abs", "mi_cell", "mi_kde"}
         rho_abs stores |rho| in ``values`` and the signed rho in
-        ``signed``; both MI measures store the MI in both.  mi_kde
-        rejects a column of equal values (zero variance).
+        ``signed``; both MI measures store the MI in both.
     lattice_order : int
         Grid resolution for the MI measures; 0 picks
-        ``default_lattice_order(T)``.  Validated to lie in [2, T] and
-        recorded in the result for every measure, though rho_abs does not
-        use it (rho always uses the full order-T lattice).
-    tie_break, tie_seed
-        Rank tie handling, see :func:`coptree.dataset.column_ranks`.
-        Randomized tie order is the default: row-stable ordinal ranks let
-        two heavily tied columns inherit spurious dependence from shared
-        row ordering.
+        ``default_lattice_order(T)``.  Otherwise it must be an integer in
+        [2, T]; it is checked and recorded in the result for every
+        measure, though rho_abs does not use it (rho always uses the full
+        order-T lattice).
+    tie_seed : int
+        Seed of the random tie order, see
+        :func:`coptree.dataset.column_ranks`: ties are always broken at
+        random, since row-stable ordinal ranks let two heavily tied
+        columns inherit spurious dependence from shared row ordering.
 
     rho_abs takes every pair's rank-product sum from one exact product
     of the rank matrix with itself (see :func:`_rho_matrix`); the MI
@@ -348,14 +331,8 @@ def weight_matrix(
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    t = data.sample_count
-    if lattice_order == 0:
-        lattice_order = default_lattice_order(t)
-    if not 2 <= lattice_order <= t:
-        raise ValueError(f"lattice order must be in [2, {t}], got {lattice_order}")
-    if measure == "mi_kde" and np.any(np.ptp(data.values, axis=0) == 0):
-        raise ValueError("degenerate column: zero variance")
-    ranks = column_ranks(data.values, tie_break, tie_seed)
+    lattice_order = _lattice_order(lattice_order, data.sample_count)
+    ranks = column_ranks(data.values, "random", tie_seed)
     if measure == "rho_abs":
         signed = _rho_matrix(ranks)
         values = np.abs(signed)

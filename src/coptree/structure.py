@@ -179,7 +179,6 @@ def learn_structure(
     data: Dataset,
     measure: str = "mi_cell",
     lattice_order: int = 0,
-    tie_break: str = "random",
     tie_seed: int = 0,
 ) -> DependenceTree:
     """End-to-end pipeline: ranks -> weight matrix -> maximum spanning tree.
@@ -189,6 +188,6 @@ def learn_structure(
     increasing per-column transformations of the data for every measure,
     since each depends on the ranks only.
     """
-    w = weight_matrix(data, measure, lattice_order, tie_break, tie_seed)
+    w = weight_matrix(data, measure, lattice_order, tie_seed)
     tree = maximum_spanning_tree(w)
     return replace(tree, coverage_ratio=coverage_ratio(tree, w))

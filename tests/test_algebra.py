@@ -135,6 +135,14 @@ class TestSampler:
         with pytest.raises(ValueError, match="Cholesky"):
             sample_gaussian_copula(bad, 10, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, bad):
+        # NaN and inf pass the symmetry and diagonal comparisons, and
+        # Cholesky does not raise on NaN
+        for sigma in ([[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                sample_gaussian_copula(sigma, 5, 0)
+
 
 class TestPushMargins:
     def test_standard_normal_median(self):

@@ -195,13 +195,20 @@ class TestLearn:
                 (e["u"], e["v"], e["weight"]) for e in payload["edges"]
             ]
 
-    def test_degenerate_column_with_kde_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("measure", ["mi-cell", "mi-kde"])
+    def test_constant_column_is_ranked_like_any_other(self, tmp_path, measure):
+        # a constant column is one 30-way tie: its ranks are a seeded
+        # random permutation, and both MI measures score it
         path = tmp_path / "flat.csv"
         rng = np.random.default_rng(33)
         rows = "\n".join(f"{float(v)!r},1.0" for v in rng.standard_normal(30))
         path.write_text("a,b\n" + rows + "\n")
-        assert main(["learn", "--input", str(path), "--measure", "mi-kde"]) == 1
-        assert "zero variance" in capsys.readouterr().err
+        out = tmp_path / "tree.json"
+        assert main(["learn", "--input", str(path), "--measure", measure,
+                     "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, TREE_SCHEMA)
+        assert [(e["u"], e["v"]) for e in payload["edges"]] == [("a", "b")]
 
 
 class TestSynth:

@@ -117,6 +117,12 @@ class TestCdfGrid:
         with pytest.raises(ValueError, match="lattice order"):
             copula_cdf_grid(EXAMPLE_3, 4)
 
+    @pytest.mark.parametrize("grid", [copula_cdf_grid, copula_mass_grid])
+    @pytest.mark.parametrize("order", [2.5, 2.0, True, False, "2", None])
+    def test_order_must_be_an_integer(self, grid, order):
+        with pytest.raises(ValueError, match="lattice order"):
+            grid(EXAMPLE_3, order)
+
     def test_cell_guard(self):
         rng = np.random.default_rng(3)
         cols = [rng.permutation(1000) + 1 for _ in range(3)]

@@ -180,22 +180,23 @@ class TestKernelDensity:
 class TestMutualInfoKde:
     def test_comonotone_reaches_log_order(self):
         x = np.random.default_rng(0).standard_normal(1000)
-        value = mutual_info_kde(x, x.copy(), 31)
+        ranks = column_ranks(np.column_stack([x, x]))
+        value = mutual_info_kde(ranks[:, 0], ranks[:, 1], 31)
         assert abs(value - math.log(31)) < 0.15
 
     def test_agrees_with_cell_estimator_under_dependence(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
         uniforms = sample_gaussian_copula(sigma, 2000, seed=3)
-        x, y = uniforms[:, 0], uniforms[:, 1]
-        kde_value = mutual_info_kde(x, y, 31)
-        ranks = column_ranks(np.column_stack([x, y]))
+        ranks = column_ranks(uniforms)
+        kde_value = mutual_info_kde(ranks[:, 0], ranks[:, 1], 31)
         cell_value = mutual_info_cell(ranks[:, 0], ranks[:, 1], 31)
         assert abs(kde_value - cell_value) < 0.1
 
     def test_independent_normals_carry_the_grid_bias(self):
         # same plug-in bias as the cell estimator: ~0.5 nats at K=31, T=1000
         rng = np.random.default_rng(1)
-        value = mutual_info_kde(rng.standard_normal(1000), rng.standard_normal(1000), 31)
+        ranks = column_ranks(rng.standard_normal((1000, 2)))
+        value = mutual_info_kde(ranks[:, 0], ranks[:, 1], 31)
         assert 0.35 < value < 0.65
 
     @settings(max_examples=60, deadline=None)
@@ -207,22 +208,20 @@ class TestMutualInfoKde:
         rng = np.random.default_rng(seed)
         # correlated and rounded to 0.1, so ties go through the tie order
         xy = np.round(rng.standard_normal((t, 2)) @ [[1.0, 0.6], [0.0, 0.8]], 1)
-        x, y = xy[:, 0], xy[:, 1]
-        value = mutual_info_kde(x, y, order)
         ranks = column_ranks(xy, "random", 0)
+        value = mutual_info_kde(ranks[:, 0], ranks[:, 1], order)
         assert abs(value - uniform_margin_mi(ranks, order)) <= 1e-12
         if t % order == 0:
             cell = mutual_info_cell(ranks[:, 0], ranks[:, 1], order)
             assert abs(value - cell) <= 1e-12
 
     def test_validation(self):
-        x = np.arange(20.0)
-        with pytest.raises(ValueError, match="at least 10"):
-            mutual_info_kde(x[:5], x[:5], 2)
-        with pytest.raises(ValueError, match="lattice order"):
-            mutual_info_kde(x, x, 21)
-        with pytest.raises(ValueError, match="zero variance"):
-            mutual_info_kde(np.ones(20), x, 4)
+        with pytest.raises(ValueError, match="permutation"):
+            mutual_info_kde([1, 1], [1, 2], 2)
+        with pytest.raises(ValueError, match="length mismatch"):
+            mutual_info_kde([1, 2, 3], [1, 2], 2)
+        with pytest.raises(ValueError, match="at least 2"):
+            mutual_info_kde([1], [1], 2)
 
 
 class TestWeightMatrix:
@@ -310,6 +309,37 @@ class TestWeightMatrix:
                              values=values, signed=signed)
 
 
+LATTICE_T = 500  # default lattice order 5
+
+
+def _score_with_order(function, order):
+    """The MI of a fixed dependent pair of ``LATTICE_T`` samples, scored
+    by the named measure entry at lattice order ``order``."""
+    values = np.random.default_rng(20).standard_normal((LATTICE_T, 2))
+    values[:, 1] += values[:, 0]
+    if function == "weight_matrix":
+        table = Dataset(columns=("a", "b"), values=values)
+        return weight_matrix(table, "mi_cell", order).values[0, 1]
+    ranks = column_ranks(values, "random", 0)
+    return getattr(measures, function)(ranks[:, 0], ranks[:, 1], order)
+
+
+@pytest.mark.parametrize("function", ["weight_matrix", "mutual_info_cell", "mutual_info_kde"])
+class TestLatticeOrder:
+    """Every measure entry resolves its lattice order the same way."""
+
+    @pytest.mark.parametrize("order", [-3, 1, LATTICE_T + 1, 2.5, 2.0, True, False, "3", None])
+    def test_rejected(self, function, order):
+        with pytest.raises(ValueError, match="lattice order"):
+            _score_with_order(function, order)
+
+    def test_accepted(self, function):
+        default = default_lattice_order(LATTICE_T)
+        assert default == 5
+        assert _score_with_order(function, 0) == _score_with_order(function, default)
+        assert _score_with_order(function, np.int64(4)) == _score_with_order(function, 4)
+
+
 def balanced_grid_ranks(order, per_cell):
     """A rank pair with exactly per_cell samples in every cell of the
     order-K lattice: an exactly independent grid."""
@@ -334,10 +364,8 @@ class TestBulkMiWeights:
                            label="block budget")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
-        # few levels give heavily tied columns; rows 0 and 1 keep every
-        # column's variance positive for mi_kde
+        # few levels give heavily tied, and at times constant, columns
         values = rng.integers(0, levels, size=(t, n)).astype(float)
-        values[0], values[1] = -1.0, levels
         table = Dataset(columns=tuple(f"c{j}" for j in range(n)), values=values)
         ranks = column_ranks(values, "random", 0)
         with mock.patch.object(measures, "_MAX_BLOCK_CELLS", budget):
@@ -409,14 +437,9 @@ class TestBulkMiWeights:
     def _per_pair(ranks, measure, order):
         n = ranks.shape[1]
         expected = np.zeros((n, n))
+        pair_mi = mutual_info_cell if measure == "mi_cell" else mutual_info_kde
         for i, j in itertools.combinations(range(n), 2):
-            if measure == "mi_cell":
-                value = mutual_info_cell(ranks[:, i], ranks[:, j], order)
-            else:
-                # ranking a permutation returns it, so the pair keeps the
-                # table's tie order
-                value = mutual_info_kde(ranks[:, i], ranks[:, j], order)
-            expected[i, j] = expected[j, i] = value
+            expected[i, j] = expected[j, i] = pair_mi(ranks[:, i], ranks[:, j], order)
         return expected
 
     # budget 1600 gives blocks of 3 columns on housing (T=506) and of 1 on
