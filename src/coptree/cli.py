@@ -10,13 +10,29 @@ import json
 import sys
 
 from .algebra import generate_synthetic, load_synthetic_spec
-from .dataset import Dataset, load_dataset
+from .dataset import Dataset, column_ranks, load_dataset
 from .measures import weight_matrix
 from .structure import DependenceTree, learn_structure
 
 __all__ = ["main", "build_parser", "tree_as_dict", "tree_as_dot"]
 
 _MEASURE_FLAGS = {"rho": "rho_abs", "mi-cell": "mi_cell", "mi-kde": "mi_kde"}
+
+
+def _add_scoring_flags(parser: argparse.ArgumentParser, default_measure: str) -> None:
+    """The input and scoring flags that ``learn`` and ``measure`` share."""
+    parser.add_argument("--input", required=True, help="input CSV path")
+    parser.add_argument(
+        "--measure", choices=sorted(_MEASURE_FLAGS), default=default_measure
+    )
+    parser.add_argument(
+        "--lattice-order", type=int, default=0,
+        help="copula grid resolution K (0 = auto, about 20 samples per cell)",
+    )
+    parser.add_argument(
+        "--tie-seed", type=int, default=0,
+        help="seed for randomized rank tie order (default 0)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,20 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     learn = sub.add_parser("learn", help="learn a dependence tree from a CSV file")
-    learn.add_argument("--input", required=True, help="input CSV path")
-    learn.add_argument(
-        "--measure", choices=sorted(_MEASURE_FLAGS), default="mi-cell"
-    )
-    learn.add_argument(
-        "--lattice-order", type=int, default=0,
-        help="copula grid resolution K (0 = auto, about 20 samples per cell)",
-    )
+    _add_scoring_flags(learn, "mi-cell")
     learn.add_argument("--json", help="write the tree as JSON to this path")
     learn.add_argument("--dot", help="write the tree as DOT to this path")
-    learn.add_argument(
-        "--tie-seed", type=int, default=0,
-        help="seed for randomized rank tie order (default 0)",
-    )
 
     synth = sub.add_parser("synth", help="generate a synthetic CSV dataset")
     synth.add_argument("--spec", required=True, help="synthetic-spec JSON path")
@@ -54,13 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     measure = sub.add_parser("measure", help="one pairwise dependence value")
-    measure.add_argument("--input", required=True, help="input CSV path")
+    _add_scoring_flags(measure, "rho")
     measure.add_argument("--pair", required=True, help="two column names: A,B")
-    measure.add_argument(
-        "--measure", choices=sorted(_MEASURE_FLAGS), default="rho"
-    )
-    measure.add_argument("--lattice-order", type=int, default=0)
-    measure.add_argument("--tie-seed", type=int, default=0)
     return parser
 
 
@@ -152,10 +152,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    a, b = _parse_pair(args.pair)
+    names = _parse_pair(args.pair)
     data = load_dataset(args.input)
-    ia, ib = data.column_index(a), data.column_index(b)
-    pair = Dataset((a, b), data.values[:, [ia, ib]])
+    # rank the whole table, as learn does, so a tied column takes the same
+    # tie order; the pair's rank columns have no ties and rank to themselves
+    i, j = sorted(data.column_index(name) for name in names)
+    a, b = data.columns[i], data.columns[j]
+    ranks = column_ranks(data.values, "random", args.tie_seed)
+    pair = Dataset((a, b), ranks[:, [i, j]])
     measure = _MEASURE_FLAGS[args.measure]
     w = weight_matrix(pair, measure, args.lattice_order, tie_seed=args.tie_seed)
     value = w.signed[0, 1]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, _check_permutations, column_ranks
-from .empirical import _cell_indices, _check_order, default_lattice_order
+from .empirical import _MAX_CELLS, _cell_indices, _check_order, default_lattice_order
 
 __all__ = [
     "MEASURES",
@@ -69,10 +69,16 @@ def _rank_pair(rank_x, rank_y) -> np.ndarray:
 def _lattice_order(order, t: int) -> int:
     """The lattice order K that ``order`` asks for at T samples: 0 picks
     ``default_lattice_order(T)``, anything else must be an integer (not a
-    bool) in [2, T]."""
+    bool) in [2, T] whose K x K grid has at most ``_MAX_CELLS`` cells."""
     if isinstance(order, (int, np.integer)) and order is not False and order == 0:
         return default_lattice_order(t)
-    return _check_order(order, 2, t)
+    order = _check_order(order, 2, t)
+    if order * order > _MAX_CELLS:
+        raise ValueError(
+            f"lattice order {order} needs {order * order} cells per pair, "
+            f"more than {_MAX_CELLS}"
+        )
+    return order
 
 
 def _rho_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -311,9 +317,9 @@ def weight_matrix(
     lattice_order : int
         Grid resolution for the MI measures; 0 picks
         ``default_lattice_order(T)``.  Otherwise it must be an integer in
-        [2, T]; it is checked and recorded in the result for every
-        measure, though rho_abs does not use it (rho always uses the full
-        order-T lattice).
+        [2, T] with K^2 at most ``_MAX_CELLS``; it is checked and recorded
+        in the result for every measure, though rho_abs does not use it
+        (rho always uses the full order-T lattice).
     tie_seed : int
         Seed of the random tie order, see
         :func:`coptree.dataset.column_ranks`: ties are always broken at

@@ -154,8 +154,9 @@ def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
 def coverage_ratio(tree: DependenceTree, w: WeightMatrix) -> float:
     """Tree edge-weight sum over the sum of all unordered pair weights.
 
-    Lies in (0, 1] whenever some weight is positive; a value near 1 means
-    the tree alone captures most of the pairwise dependence mass.
+    Lies in (0, 1]; a value near 1 means the tree alone captures most of
+    the pairwise dependence mass.  When every weight is 0 the tree holds
+    all of it, so the ratio is 1.0.
     """
     if tree.nodes != w.names:
         raise ValueError("tree nodes do not match the weight matrix")
@@ -170,9 +171,7 @@ def coverage_ratio(tree: DependenceTree, w: WeightMatrix) -> float:
             )
         tree_sum += edge.weight
     total = float(w.values[np.triu_indices(w.dim, 1)].sum())
-    if total <= 0.0:
-        raise ValueError("total pairwise weight is zero")
-    return tree_sum / total
+    return tree_sum / total if total > 0.0 else 1.0
 
 
 def learn_structure(

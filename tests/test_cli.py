@@ -8,8 +8,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from coptree import column_ranks, learn_structure, load_dataset, spearman_rho
-from coptree.cli import main
+from coptree import column_ranks, learn_structure, load_dataset, spearman_rho, weight_matrix
+from coptree.cli import build_parser, main
 
 TREE_SCHEMA = {
     "type": "object",
@@ -36,6 +36,8 @@ TREE_SCHEMA = {
         "coverage_ratio": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
     },
 }
+
+HOUSING = Path(__file__).resolve().parent.parent / "data" / "housing.csv"
 
 DOT_EDGE = re.compile(r'^  "[^"]+" -- "[^"]+" \[label="\d+\.\d{4}"\];$')
 
@@ -115,9 +117,8 @@ class TestLearn:
         assert edge["signed_value"] == pytest.approx(-1.0)
 
     def test_housing_stable_edges_through_cli(self, tmp_path):
-        housing_csv = Path(__file__).resolve().parent.parent / "data" / "housing.csv"
         out = tmp_path / "housing.json"
-        assert main(["learn", "--input", str(housing_csv), "--measure", "mi-cell",
+        assert main(["learn", "--input", str(HOUSING), "--measure", "mi-cell",
                      "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         pairs = {tuple(sorted((e["u"], e["v"]))) for e in payload["edges"]}
@@ -209,6 +210,38 @@ class TestLearn:
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, TREE_SCHEMA)
         assert [(e["u"], e["v"]) for e in payload["edges"]] == [("a", "b")]
+
+
+    @pytest.mark.parametrize("measure", ["mi-cell", "mi-kde"])
+    def test_exactly_independent_pair_covers_everything(self, tmp_path, measure):
+        # a and b cross 10 levels each with 20 replicates per cell: their
+        # order-10 grid is exactly independent, so the only weight is 0
+        # and the tree holds all of it
+        path = tmp_path / "design.csv"
+        a, b = np.divmod(np.arange(2000) // 20, 10)
+        path.write_text("a,b\n" + "".join(f"{p},{q}\n" for p, q in zip(a, b)))
+        out = tmp_path / "tree.json"
+        assert main(["learn", "--input", str(path), "--measure", measure,
+                     "--lattice-order", "10", "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, TREE_SCHEMA)
+        assert payload["edges"] == [{"u": "a", "v": "b", "weight": 0.0, "signed_value": 0.0}]
+        assert payload["coverage_ratio"] == 1.0
+
+
+class TestParser:
+    def test_measure_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["learn", "--input", "x.csv"]).measure == "mi-cell"
+        assert parser.parse_args(["measure", "--input", "x.csv", "--pair", "a,b"]).measure == "rho"
+
+    @pytest.mark.parametrize("command", ["learn", "measure"])
+    def test_help_lists_the_scoring_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "copula grid resolution K (0 = auto, about 20 samples per cell)" in out
+        assert "seed for randomized rank tie order (default 0)" in out
 
 
 class TestSynth:
@@ -349,6 +382,22 @@ class TestMeasure:
         assert main(["measure", "--input", str(path), "--pair", "a,b",
                      "--measure", "mi-kde", "--lattice-order", "5"]) == 0
         assert "[lattice_order=5]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tie_seed", [0, 1])
+    @pytest.mark.parametrize("flag, measure", [
+        ("rho", "rho_abs"), ("mi-cell", "mi_cell"), ("mi-kde", "mi_kde")])
+    def test_prints_learns_matrix_entry(self, flag, measure, tie_seed, housing, capsys):
+        # every housing column is tied, so the value depends on ranking the
+        # whole table as learn does, whichever way round the pair is given
+        w = weight_matrix(housing, measure, 0, tie_seed)
+        i, j = housing.column_index("crim"), housing.column_index("rad")
+        lines = []
+        for pair in ("crim,rad", "rad,crim"):
+            assert main(["measure", "--input", str(HOUSING), "--pair", pair,
+                         "--measure", flag, "--tie-seed", str(tie_seed)]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert lines[0].split(" = ")[1].split()[0] == f"{w.signed[i, j]:.6f}"
 
     def test_self_pair_rejected(self, tmp_path, capsys):
         path = tmp_path / "pair.csv"

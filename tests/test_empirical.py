@@ -13,6 +13,7 @@ from coptree import (
     default_lattice_order,
     empirical_copula,
 )
+from coptree import empirical
 from oracles import assert_valid_grids, difference_binning_cases, literal_cdf_counts
 
 
@@ -129,6 +130,13 @@ class TestCdfGrid:
         ranks = RankMatrix(np.column_stack(cols))
         with pytest.raises(ValueError, match="cells"):
             copula_cdf_grid(ranks, 1000)
+
+    @pytest.mark.parametrize("grid", [copula_cdf_grid, copula_mass_grid])
+    def test_cell_budget(self, grid, monkeypatch):
+        monkeypatch.setattr(empirical, "_MAX_CELLS", 8)
+        with pytest.raises(ValueError, match="grid of order 3 in dimension 2 exceeds 8 cells"):
+            grid(EXAMPLE_3, 3)
+        assert grid(EXAMPLE_3, 2).order == 2
 
 
 class TestMassGrid:

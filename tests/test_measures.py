@@ -339,6 +339,13 @@ class TestLatticeOrder:
         assert _score_with_order(function, 0) == _score_with_order(function, default)
         assert _score_with_order(function, np.int64(4)) == _score_with_order(function, 4)
 
+    def test_cell_budget(self, function, monkeypatch):
+        # a K x K lattice may hold at most the grids' _MAX_CELLS cells
+        monkeypatch.setattr(measures, "_MAX_CELLS", 15)
+        with pytest.raises(ValueError, match="lattice order 4 needs 16 cells"):
+            _score_with_order(function, 4)
+        assert _score_with_order(function, 3) > 0.0
+
 
 def balanced_grid_ranks(order, per_cell):
     """A rank pair with exactly per_cell samples in every cell of the

@@ -194,11 +194,11 @@ class TestCoverageRatio:
         ratio = coverage_ratio(tree, w)
         assert 0.0 < ratio < 1.0
 
-    def test_zero_total_rejected(self):
+    def test_zero_total_covers_everything(self):
+        # with every weight 0 the tree holds all of the pairwise weight
         w = matrix_of("abc", {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0})
         tree = maximum_spanning_tree(w)
-        with pytest.raises(ValueError, match="zero"):
-            coverage_ratio(tree, w)
+        assert coverage_ratio(tree, w) == 1.0
 
     def test_mismatched_weights_rejected(self):
         w = matrix_of("abc", {(0, 1): 0.9, (0, 2): 0.5, (1, 2): 0.1})
