@@ -17,6 +17,13 @@ copies of the package then run the same cases in fresh interpreters:
   directory (every housing column is tied, so only this table shows
   which columns draw a random tie order);
 - ``coptree measure`` stdout for three column pairs and each measure;
+- ``coptree synth`` on data/synthetic_spec.json, with and without
+  ``--seed 7``: stdout and the output CSV;
+- the exit code and stderr of runs that must fail: ``learn`` with
+  ``--tie-seed -1``, ``--lattice-order 1`` and ``--lattice-order 20000``,
+  and ``synth`` on copies of the spec, written into the temporary
+  directory, with one bad field each (the output CSV, which none of them
+  may write, is compared too);
 - ``column_ranks`` (both tie modes) and ``weight_matrix`` ``values`` and
   ``signed`` (each measure) on a tied 50000 x 16 and a tied 500 x 300
   table, saved with ``np.save`` so dtype and shape are compared too, and
@@ -46,8 +53,20 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 HOUSING = ROOT / "data" / "housing.csv"
+SPEC = ROOT / "data" / "synthetic_spec.json"
 MEASURES = ("rho", "mi-cell", "mi-kde")
 PAIRS = ("rm,medv", "crim,tax", "chas,nox")
+BAD_LEARN_FLAGS = (
+    ("--tie-seed", "-1"), ("--lattice-order", "1"), ("--lattice-order", "20000"),
+)
+# each replaces one top-level key of SPEC
+BAD_SPEC_FIELDS = {
+    "samples 10.9": {"samples": 10.9},
+    "seed -1": {"seed": -1},
+    "rate true": {"margins": [{"family": "standard_normal"}] * 4
+                  + [{"family": "exponential", "rate": True}]},
+    "name with a comma": {"names": ["G,1", "G2", "G3", "Cn", "Ce"]},
+}
 
 ARRAYS = """
 import sys
@@ -77,11 +96,12 @@ for t, n in ((50000, 16), (500, 300)):
 
 
 def _run(src: Path, args, cwd: Path) -> bytes:
+    """Exit code, stdout and stderr of one run (stderr is empty on success)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True
     )
-    return b"exit %d\n" % done.returncode + done.stdout
+    return b"exit %d\n" % done.returncode + done.stdout + done.stderr
 
 
 def _learn(src: Path, work: Path, case: str, args) -> dict[str, bytes]:
@@ -94,6 +114,17 @@ def _learn(src: Path, work: Path, case: str, args) -> dict[str, bytes]:
     for label, path in (("json", json_path), ("dot", dot_path)):
         outputs[f"{case} {label}"] = path.read_bytes() if path.exists() else b""
         path.unlink(missing_ok=True)
+    return outputs
+
+
+def _synth(src: Path, work: Path, case: str, args) -> dict[str, bytes]:
+    """stdout and output CSV bytes of one ``coptree synth`` run."""
+    csv_path = work / "synth.csv"
+    outputs = {f"{case} stdout": _run(src, [
+        "-m", "coptree.cli", "synth", *args, "--output", str(csv_path),
+    ], work)}
+    outputs[f"{case} csv"] = csv_path.read_bytes() if csv_path.exists() else b""
+    csv_path.unlink(missing_ok=True)
     return outputs
 
 
@@ -127,6 +158,17 @@ def collect(src: Path, work: Path) -> dict[str, bytes]:
                 "-m", "coptree.cli", "measure", "--input", str(HOUSING),
                 "--pair", pair, "--measure", measure,
             ], work)
+    outputs.update(_synth(src, work, "synth", ["--spec", str(SPEC)]))
+    outputs.update(_synth(src, work, "synth --seed 7",
+                          ["--spec", str(SPEC), "--seed", "7"]))
+    for flags in BAD_LEARN_FLAGS:
+        outputs[f"learn {' '.join(flags)} stdout"] = _run(src, [
+            "-m", "coptree.cli", "learn", "--input", str(HOUSING), *flags,
+        ], work)
+    for label, change in BAD_SPEC_FIELDS.items():
+        spec = work / "bad-spec.json"
+        spec.write_text(json.dumps({**json.loads(SPEC.read_text()), **change}))
+        outputs.update(_synth(src, work, f"synth {label}", ["--spec", str(spec)]))
     arrays = work / "arrays"
     arrays.mkdir()
     outputs["arrays script"] = _run(src, ["-c", ARRAYS, str(arrays)], work)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _integer
 
 __all__ = [
     "PairCopula",
@@ -59,12 +59,15 @@ def _list(value, field: str) -> list:
     return value
 
 
-def _integer(value, field: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _json_integer(value):
+    """An integral float, which JSON may write for an integer (10.0), as
+    that int; any other value as it is, for the spec's own checks."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class PairCopula:
         if self.family not in PAIR_FAMILIES:
             raise ValueError(f"unknown pair-copula family {self.family!r}")
         if self.family == "gaussian":
-            if not isinstance(self.theta, numbers.Real) or not -1.0 < self.theta < 1.0:
+            if not _real(self.theta) or not -1.0 < self.theta < 1.0:
                 raise ValueError(
                     f"gaussian theta must be in (-1, 1), got {self.theta}"
                 )
@@ -113,7 +116,7 @@ class MarginSpec:
         if self.family not in MARGIN_FAMILIES:
             raise ValueError(f"unknown margin family {self.family!r}")
         if self.family == "exponential":
-            if not isinstance(self.rate, numbers.Real) or not 0 < self.rate < np.inf:
+            if not _real(self.rate) or not 0 < self.rate < np.inf:
                 raise ValueError(
                     f"exponential rate must be > 0 and finite, got {self.rate}"
                 )
@@ -151,8 +154,8 @@ def sample_gaussian_copula(sigma, count: int, seed: int) -> np.ndarray:
         raise ValueError("sigma must be symmetric")
     if np.abs(np.diag(sigma) - 1.0).max(initial=0.0) > 1e-12:
         raise ValueError("sigma must have a unit diagonal")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = _integer(count, "count", 1)
+    seed = _integer(seed, "seed", 0)
     try:
         factor = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -206,7 +209,7 @@ class CopulaBlock:
     theta: float | None = None
 
     def __post_init__(self):
-        variables = tuple(_integer(v, "block vars") for v in self.variables)
+        variables = tuple(_integer(v, "block vars", 1) for v in self.variables)
         if not variables:
             raise ValueError("block needs at least one variable")
         PairCopula(self.family, self.theta)  # checks family and theta
@@ -232,10 +235,8 @@ class SyntheticSpec:
             raise ValueError(
                 f"blocks must partition variables 1..{n}, got {listed}"
             )
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "samples", _integer(self.samples, "samples", 2))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         if self.names is not None:
             names = tuple(self.names)
             if len(names) != n:
@@ -277,7 +278,8 @@ def load_synthetic_spec(source) -> SyntheticSpec:
     top = "synthetic spec"
     blocks = [
         CopulaBlock(
-            variables=tuple(_list(_get(b, "vars", f"blocks[{i}]"), f"blocks[{i}].vars")),
+            variables=tuple(map(_json_integer, _list(
+                _get(b, "vars", f"blocks[{i}]"), f"blocks[{i}].vars"))),
             family=_get(b, "family", f"blocks[{i}]"),
             theta=b.get("theta"),
         )
@@ -287,8 +289,8 @@ def load_synthetic_spec(source) -> SyntheticSpec:
         MarginSpec(family=_get(m, "family", f"margins[{i}]"), rate=m.get("rate"))
         for i, m in enumerate(_list(_get(raw, "margins", top), "margins"))
     ]
-    samples = _integer(_get(raw, "samples", top), "samples")
-    seed = _integer(_get(raw, "seed", top), "seed")
+    samples = _json_integer(_get(raw, "samples", top))
+    seed = _json_integer(_get(raw, "seed", top))
     names = tuple(_list(raw["names"], "names")) if "names" in raw else None
     return SyntheticSpec(
         blocks=blocks, margins=margins, samples=samples, seed=seed, names=names

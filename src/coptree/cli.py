@@ -141,11 +141,24 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
+def _header_cell(name: str) -> str:
+    # load_dataset strips each header name, and its csv reader splits at a
+    # comma or line break and unquotes a name that opens with a quote
+    if any(c in name for c in ',\r\n') or name.startswith('"') or name != name.strip():
+        raise ValueError(
+            f"column {name!r} cannot be written as a CSV header name: it holds a "
+            f"comma, CR or LF, starts with a double quote, or has leading or "
+            f"trailing whitespace"
+        )
+    return name
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synthetic_spec(args.spec)
     data = generate_synthetic(spec, seed=args.seed)
+    header = ",".join(map(_header_cell, data.columns))  # may refuse: write nothing yet
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(",".join(data.columns) + "\n")
+        handle.write(header + "\n")
         for row in data.values:
             handle.write(",".join(_format_float(v) for v in row) + "\n")
     return 0

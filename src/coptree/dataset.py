@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,22 @@ __all__ = [
 # Elements per block of column_ranks: bounds the (columns x T) order, key
 # and permutation blocks it sorts at once.
 _MAX_RANK_BLOCK_CELLS = 2**16
+
+# A byte that is not valid UTF-8 decodes, under errors="surrogateescape",
+# to one of these lone surrogates.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _integer(value, name: str, lowest: int, highest: int | None = None) -> int:
+    """``value`` as an int, once it is checked to be a Python or numpy
+    integer, never a bool, in [lowest, highest] (no upper bound if
+    ``highest`` is None).  Raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lowest or (highest is not None and value > highest):
+        bound = f">= {lowest}" if highest is None else f"in [{lowest}, {highest}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -121,7 +138,10 @@ def load_dataset(source) -> Dataset:
     source : str, os.PathLike or text file object
         Path to a CSV file, or an open text stream.  UTF-8 (a leading
         byte-order mark in a file is dropped), comma separator, one header
-        row, decimal point; no quoting.  Blank lines are skipped.
+        row, decimal point; no quoting.  Blank lines are skipped.  A file
+        is decoded with ``errors="surrogateescape"``, so a byte that is not
+        valid UTF-8 is reported where it lies, as "row i, column 'c': not
+        valid UTF-8" or "header row: column j is not valid UTF-8".
 
     Returns
     -------
@@ -153,7 +173,8 @@ def load_dataset(source) -> Dataset:
         parsed = _fast_parse(source)
         if parsed is not None:
             return Dataset(*parsed)
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", newline="",
+                  errors="surrogateescape") as handle:
             return _parse_csv(handle)
     return _parse_csv(source)
 
@@ -168,9 +189,12 @@ def _fast_parse(path):
     bits.  The header is read from a handle opened as for ``_parse_csv``;
     loadtxt reads the path in chunks and skips that one line.  Both end a
     line at any of LF, CR and CRLF, as csv does on such a handle, so
-    whatever this returns, ``_parse_csv`` returns too.
+    whatever this returns, ``_parse_csv`` returns too.  loadtxt decodes
+    the whole file strictly, header included, so a byte that is not valid
+    UTF-8 anywhere raises its UnicodeDecodeError, a ValueError.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="",
+              errors="surrogateescape") as handle:
         line = handle.readline()
     if '"' in line:
         return None
@@ -200,6 +224,9 @@ def _parse_csv(handle) -> Dataset:
         raise ValueError("empty input: missing header row") from None
     except csv.Error as error:
         raise ValueError(f"header row: {error}") from None
+    for j, name in enumerate(header):
+        if _ESCAPED_BYTE.search(name):
+            raise ValueError(f"header row: column {j + 1} is not valid UTF-8")
     columns = tuple(name.strip() for name in header)
     n = len(columns)
     rows = []
@@ -207,24 +234,36 @@ def _parse_csv(handle) -> Dataset:
         for record in reader:
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue  # ignore blank lines
-            i = len(rows) + 1
-            if len(record) != n:
-                raise ValueError(f"row {i}: expected {n} fields, got {len(record)}")
-            try:
-                rows.append([float(cell) for cell in record])
-            except ValueError:
-                for j, cell in enumerate(record):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"row {i}, column {columns[j]!r}: "
-                            f"cannot parse {cell.strip()!r} as a number"
-                        ) from None
+            if len(record) == n:
+                try:
+                    rows.append([float(cell) for cell in record])
+                    continue
+                except ValueError:
+                    pass
+            raise _record_error(record, len(rows) + 1, columns)
     except csv.Error as error:
         # the record being read when csv failed is data row len(rows) + 1
         raise ValueError(f"row {len(rows) + 1}: {error}") from None
     return Dataset(columns, np.array(rows, dtype=float).reshape(len(rows), n))
+
+
+def _record_error(record, i: int, columns) -> ValueError:
+    """The error of data row i, a record with a field count other than the
+    header's or a cell ``float`` rejects.  A byte that is not valid UTF-8
+    (no number holds one) is named first."""
+    for name, cell in zip(columns, record):
+        if _ESCAPED_BYTE.search(cell):
+            return ValueError(f"row {i}, column {name!r}: not valid UTF-8")
+    if len(record) != len(columns):
+        return ValueError(f"row {i}: expected {len(columns)} fields, got {len(record)}")
+    for name, cell in zip(columns, record):
+        try:
+            float(cell)
+        except ValueError:
+            break
+    return ValueError(
+        f"row {i}, column {name!r}: cannot parse {cell.strip()!r} as a number"
+    )
 
 
 def column_ranks(
@@ -268,14 +307,11 @@ def column_ranks(
         raise ValueError(f"values must be 2-D, got shape {values.shape}")
     if tie_break not in ("stable", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
+    rng = None
     if tie_break == "random":
-        if not isinstance(tie_seed, (int, np.integer)):
-            raise ValueError(f"tie_seed must be an integer >= 0, got {tie_seed!r}")
-        if tie_seed < 0:
-            raise ValueError(f"tie_seed must be >= 0, got {tie_seed}")
+        rng = np.random.default_rng(_integer(tie_seed, "tie_seed", 0))
     t, n = values.shape
     ranks = np.empty((t, n), dtype=np.int64)
-    rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
     positions = np.arange(1, t + 1, dtype=np.int64)
     width = max(1, _MAX_RANK_BLOCK_CELLS // max(t, 1))
     for lo in range(0, n, width):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RankMatrix
+from .dataset import RankMatrix, _integer
 
 __all__ = [
     "CopulaGrid",
@@ -40,9 +40,7 @@ def default_lattice_order(sample_count: int) -> int:
     grid (e.g. K = sqrt(T)) leaves ~1 sample per 2-D cell and the bias
     dwarfs most true dependence signals.
     """
-    if sample_count < 2:
-        raise ValueError(f"need at least 2 samples, got {sample_count}")
-    return max(2, math.isqrt(sample_count // 20))
+    return max(2, math.isqrt(_integer(sample_count, "sample_count", 2) // 20))
 
 
 @dataclass(frozen=True)
@@ -70,19 +68,17 @@ class CopulaGrid:
             )
 
 
-def _check_order(order, lowest: int, sample_count: int) -> int:
-    """``order`` as an int, once it is checked to be an integer (not a
-    bool) in [lowest, sample_count]."""
-    if (
-        isinstance(order, bool)
-        or not isinstance(order, (int, np.integer))
-        or not lowest <= order <= sample_count
-    ):
+def _check_lattice(order, dim: int, lowest: int, sample_count: int) -> int:
+    """``order`` as an int, once it is checked to be an integer in
+    [lowest, sample_count] whose lattice in dimension ``dim`` has at most
+    ``_MAX_CELLS`` cells."""
+    order = _integer(order, "lattice order", lowest, sample_count)
+    if order**dim > _MAX_CELLS:
         raise ValueError(
-            f"lattice order must be an integer in [{lowest}, {sample_count}], "
-            f"got {order!r}"
+            f"lattice order {order} in dimension {dim} needs {order**dim} cells, "
+            f"more than {_MAX_CELLS}"
         )
-    return int(order)
+    return order
 
 
 def _cell_indices(ranks: np.ndarray, order: int) -> np.ndarray:
@@ -96,11 +92,7 @@ def _cell_counts(ranks: np.ndarray, order: int) -> np.ndarray:
 
     ``ranks`` is a T x N array whose columns are permutations of 1..T.
     """
-    t, n = ranks.shape
-    if order**n > _MAX_CELLS:
-        raise ValueError(
-            f"grid of order {order} in dimension {n} exceeds {_MAX_CELLS} cells"
-        )
+    n = ranks.shape[1]
     cells = _cell_indices(ranks, order)
     flat = np.ravel_multi_index(tuple(cells.T), (order,) * n)
     return np.bincount(flat, minlength=order**n).reshape((order,) * n)
@@ -141,7 +133,7 @@ def copula_cdf_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
     bin-and-accumulate pass over the samples, not by K^N evaluations.
     """
     t, n = ranks.sample_count, ranks.dim
-    order = _check_order(order, 1, t)
+    order = _check_lattice(order, n, 1, t)
     # a leading zero per axis grounds the grid before the running sums
     counts = np.pad(_cell_counts(ranks.ranks, order), [(1, 0)] * n)
     for axis in range(n):
@@ -158,6 +150,6 @@ def copula_mass_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
     are nonnegative and sum to 1.
     """
     t, n = ranks.sample_count, ranks.dim
-    order = _check_order(order, 1, t)
+    order = _check_lattice(order, n, 1, t)
     counts = _cell_counts(ranks.ranks, order)
     return CopulaGrid(order=order, dim=n, kind="mass", values=counts / t)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _check_permutations, column_ranks
-from .empirical import _MAX_CELLS, _cell_indices, _check_order, default_lattice_order
+from .dataset import Dataset, _check_permutations, _integer, column_ranks
+from .empirical import _cell_indices, _check_lattice, default_lattice_order
 
 __all__ = [
     "MEASURES",
@@ -68,17 +68,11 @@ def _rank_pair(rank_x, rank_y) -> np.ndarray:
 
 def _lattice_order(order, t: int) -> int:
     """The lattice order K that ``order`` asks for at T samples: 0 picks
-    ``default_lattice_order(T)``, anything else must be an integer (not a
-    bool) in [2, T] whose K x K grid has at most ``_MAX_CELLS`` cells."""
-    if isinstance(order, (int, np.integer)) and order is not False and order == 0:
+    ``default_lattice_order(T)``; anything else is a pair lattice order,
+    checked by ``empirical._check_lattice`` to lie in [2, T]."""
+    if _integer(order, "lattice order", 0) == 0:
         return default_lattice_order(t)
-    order = _check_order(order, 2, t)
-    if order * order > _MAX_CELLS:
-        raise ValueError(
-            f"lattice order {order} needs {order * order} cells per pair, "
-            f"more than {_MAX_CELLS}"
-        )
-    return order
+    return _check_lattice(order, 2, 2, t)
 
 
 def _rho_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -211,9 +205,12 @@ def mutual_info_kde(rank_x, rank_y, lattice_order: int) -> float:
     order-K mass grid of the rank pair.  That is the sample mean of
     ln(c_t), with c_t the copula cell density (cell mass times K^2) at
     sample t: an estimate of the copula-entropy integral ``int c ln c du``.
-    It equals ``mutual_info_cell`` whenever K divides T (the observed
-    margins are then exactly 1/K).  ``lattice_order`` 0 picks
-    ``default_lattice_order(T)``, as in :func:`weight_matrix`.
+    Every rank column puts the same m_c samples in lattice cell c, so
+    ``mutual_info_kde - mutual_info_cell`` is one constant per (T, K),
+    2 * sum_c (m_c/T) ln(K m_c/T): twice the KL divergence of the lattice
+    margins from uniform.  It is 0, and the two agree bit for bit, when K
+    divides T.  ``lattice_order`` 0 picks ``default_lattice_order(T)``, as
+    in :func:`weight_matrix`.
     """
     ranks = _rank_pair(rank_x, rank_y)
     order = _lattice_order(lattice_order, ranks.shape[0])
@@ -317,9 +314,9 @@ def weight_matrix(
     lattice_order : int
         Grid resolution for the MI measures; 0 picks
         ``default_lattice_order(T)``.  Otherwise it must be an integer in
-        [2, T] with K^2 at most ``_MAX_CELLS``; it is checked and recorded
-        in the result for every measure, though rho_abs does not use it
-        (rho always uses the full order-T lattice).
+        [2, T] with K^2 at most ``empirical._MAX_CELLS``; it is checked and
+        recorded in the result for every measure, though rho_abs does not
+        use it (rho always uses the full order-T lattice).
     tie_seed : int
         Seed of the random tie order, see
         :func:`coptree.dataset.column_ranks`: ties are always broken at

@@ -159,6 +159,22 @@ class TestLearn:
         err = capsys.readouterr().err
         assert err.startswith("error: row 2: field larger than field limit")
 
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b"a,\xe9b\n1,2\n3,4\n5,6\n7,8\n",
+                     "header row: column 2 is not valid UTF-8", id="header"),
+        pytest.param(b"a,b\n1,2\n3,4\n5,\xe96\n7,8\n",
+                     "row 3, column 'b': not valid UTF-8", id="row-3"),
+        pytest.param(b"a,b\n" + b"1,2\n" * 3000 + b"\xe9,6\n",
+                     "row 3001, column 'a': not valid UTF-8", id="past-8-KB"),
+        pytest.param(b"a,b\n1,2\n\xe9\n", "row 2, column 'a': not valid UTF-8",
+                     id="short-row"),
+    ])
+    def test_invalid_utf8_reported_with_its_row(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(content)
+        assert main(["learn", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["learn", "--input", str(tmp_path / "nope.csv")]) == 1
 
@@ -349,6 +365,35 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--output", str(output)]) == 1
         assert "rate must be > 0 and finite, got inf" in capsys.readouterr().err
         assert not output.exists()
+
+
+    @staticmethod
+    def _named_spec(tmp_path, name):
+        spec = tmp_path / "named.json"
+        spec.write_text(json.dumps({
+            "blocks": [{"vars": [1, 2], "family": "gaussian", "theta": 0.5}],
+            "margins": [{"family": "standard_normal"}] * 2,
+            "samples": 50,
+            "seed": 0,
+            "names": [name, "b"],
+        }))
+        return spec
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", " G1", "G1\t", '"q'])
+    def test_name_learn_cannot_read_back_exits_one(self, tmp_path, capsys, name):
+        output = tmp_path / "x.csv"
+        spec = self._named_spec(tmp_path, name)
+        assert main(["synth", "--spec", str(spec), "--output", str(output)]) == 1
+        assert f"error: column {name!r} cannot be written" in capsys.readouterr().err
+        assert not output.exists()
+
+    @pytest.mark.parametrize("name", ['q"x', "a b"])
+    def test_inner_quote_or_space_round_trips(self, tmp_path, name):
+        output, tree = tmp_path / "x.csv", tmp_path / "tree.json"
+        spec = self._named_spec(tmp_path, name)
+        assert main(["synth", "--spec", str(spec), "--output", str(output)]) == 0
+        assert main(["learn", "--input", str(output), "--json", str(tree)]) == 0
+        assert json.loads(tree.read_text())["nodes"] == [name, "b"]
 
 
 class TestMeasure:

@@ -9,7 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coptree import Dataset, RankMatrix, column_ranks, load_dataset, rank_transform
+from coptree import (
+    CopulaBlock,
+    Dataset,
+    MarginSpec,
+    RankMatrix,
+    SyntheticSpec,
+    column_ranks,
+    default_lattice_order,
+    generate_synthetic,
+    load_dataset,
+    rank_transform,
+    sample_gaussian_copula,
+)
 from coptree import dataset
 from coptree.dataset import _fast_parse, _parse_csv
 from oracles import literal_column_ranks
@@ -341,10 +353,10 @@ class TestRankTransform:
         assert np.array_equal(column_ranks(values, "stable", tie_seed=-1),
                               column_ranks(values, "stable"))
 
-    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None, True, np.True_])
     def test_non_integer_tie_seed_rejected_for_random_ties(self, seed):
         values = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="tie_seed must be an integer >= 0, got"):
+        with pytest.raises(ValueError, match="tie_seed must be an integer, got"):
             column_ranks(values, "random", tie_seed=seed)
         assert np.array_equal(column_ranks(values, "stable", tie_seed=seed),
                               column_ranks(values, "stable"))
@@ -456,3 +468,56 @@ class TestBlockRanks:
         ranks = column_ranks(values, "random", 0)
         assert (hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest()
                 == "5351876d89c5d1433a033f7ba3ed36d5c3794fc2d03dcb3653efef37c7a17690")
+
+
+def _spec(samples=10, seed=0, variable=2):
+    return SyntheticSpec(
+        blocks=(CopulaBlock((1, variable), "independence"),),
+        margins=(MarginSpec("standard_normal"),) * 2,
+        samples=samples,
+        seed=seed,
+    )
+
+
+# (name in the message, call taking the argument, an integer out of range)
+INTEGER_ARGUMENTS = {
+    "column_ranks tie_seed":
+        ("tie_seed", lambda x: column_ranks(np.zeros((3, 2)), "random", x), -1),
+    "generate_synthetic seed": ("seed", lambda x: generate_synthetic(_spec(), seed=x), -1),
+    "sample_gaussian_copula count":
+        ("count", lambda x: sample_gaussian_copula(np.eye(2), x, 0), 0),
+    "sample_gaussian_copula seed":
+        ("seed", lambda x: sample_gaussian_copula(np.eye(2), 3, x), -1),
+    "SyntheticSpec samples": ("samples", lambda x: _spec(samples=x), 1),
+    "SyntheticSpec seed": ("seed", lambda x: _spec(seed=x), -1),
+    "CopulaBlock vars": ("block vars", lambda x: _spec(variable=x), 0),
+    "default_lattice_order": ("sample_count", default_lattice_order, 1),
+}
+
+
+class TestIntegerArguments:
+    """Every integer argument takes Python and numpy integers, never a bool."""
+
+    @pytest.mark.parametrize("call, value", [
+        pytest.param(call, value, id=f"{call}-{value!r}")
+        for call in sorted(INTEGER_ARGUMENTS)
+        for value in (True, np.True_, 2.5, 2.0, "3", None, "out of range")
+        # generate_synthetic's seed=None keeps the spec's seed
+        if not (call == "generate_synthetic seed" and value is None)
+    ])
+    def test_rejected_with_its_name(self, call, value):
+        name, function, out_of_range = INTEGER_ARGUMENTS[call]
+        if isinstance(value, str) and value == "out of range":
+            value = out_of_range
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            function(value)
+
+    @pytest.mark.parametrize("call", sorted(INTEGER_ARGUMENTS))
+    def test_numpy_integers_accepted(self, call):
+        _, function, out_of_range = INTEGER_ARGUMENTS[call]
+        function(np.int64(out_of_range + 2))
+
+    @pytest.mark.parametrize("rate", [True, np.True_])
+    def test_bool_is_not_a_rate(self, rate):
+        with pytest.raises(ValueError, match="rate must be"):
+            MarginSpec("exponential", rate)

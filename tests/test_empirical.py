@@ -134,7 +134,8 @@ class TestCdfGrid:
     @pytest.mark.parametrize("grid", [copula_cdf_grid, copula_mass_grid])
     def test_cell_budget(self, grid, monkeypatch):
         monkeypatch.setattr(empirical, "_MAX_CELLS", 8)
-        with pytest.raises(ValueError, match="grid of order 3 in dimension 2 exceeds 8 cells"):
+        with pytest.raises(ValueError,
+                           match="lattice order 3 in dimension 2 needs 9 cells, more than 8"):
             grid(EXAMPLE_3, 3)
         assert grid(EXAMPLE_3, 2).order == 2
 

@@ -22,7 +22,7 @@ from coptree import (
     spearman_rho,
     weight_matrix,
 )
-from coptree import measures
+from coptree import empirical, measures
 from coptree.empirical import _cell_indices
 from oracles import naive_spearman, observed_margin_mi, uniform_margin_mi
 
@@ -215,6 +215,29 @@ class TestMutualInfoKde:
             cell = mutual_info_cell(ranks[:, 0], ranks[:, 1], order)
             assert abs(value - cell) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_is_cell_mi_plus_a_margin_constant(self, data):
+        # every rank column puts m_c samples in lattice cell c, so for every
+        # pair mi_kde - mi_cell = 2 sum_c (m_c/T) ln(K m_c/T), twice the KL
+        # divergence of the margins from uniform: 0, bit for bit, if K | T
+        order = data.draw(st.integers(2, 50), label="K")
+        t = order * data.draw(st.integers(1, 40), label="T // K")
+        t += data.draw(st.just(0) | st.integers(0, order - 1), label="T % K")
+        n = data.draw(st.integers(2, 5), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = np.round(rng.standard_normal((t, n)) @ rng.standard_normal((n, n)), 1)
+        table = Dataset(columns=tuple(f"c{j}" for j in range(n)), values=values)
+        kde = weight_matrix(table, "mi_kde", order).values
+        cell = weight_matrix(table, "mi_cell", order).values
+        if t % order == 0:
+            assert np.array_equal(kde, cell)
+        else:
+            margin = np.diff(np.arange(order + 1) * t // order) / t
+            gap = 2.0 * np.sum(margin * np.log(order * margin))
+            off_diagonal = ~np.eye(n, dtype=bool)
+            assert np.abs(kde - cell - gap)[off_diagonal].max() <= 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError, match="permutation"):
             mutual_info_kde([1, 1], [1, 2], 2)
@@ -341,8 +364,9 @@ class TestLatticeOrder:
 
     def test_cell_budget(self, function, monkeypatch):
         # a K x K lattice may hold at most the grids' _MAX_CELLS cells
-        monkeypatch.setattr(measures, "_MAX_CELLS", 15)
-        with pytest.raises(ValueError, match="lattice order 4 needs 16 cells"):
+        monkeypatch.setattr(empirical, "_MAX_CELLS", 15)
+        with pytest.raises(ValueError,
+                           match="lattice order 4 in dimension 2 needs 16 cells, more than 15"):
             _score_with_order(function, 4)
         assert _score_with_order(function, 3) > 0.0
 
