@@ -10,8 +10,8 @@ import json
 import sys
 
 from .algebra import generate_synthetic, load_synthetic_spec
-from .dataset import Dataset, column_ranks, load_dataset
-from .measures import weight_matrix
+from .dataset import column_ranks, load_dataset
+from .measures import _lattice_order, _scores
 from .structure import DependenceTree, learn_structure
 
 __all__ = ["main", "build_parser", "tree_as_dict", "tree_as_dot"]
@@ -141,22 +141,27 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _header_cell(name: str) -> str:
-    # load_dataset strips each header name, and its csv reader splits at a
-    # comma or line break and unquotes a name that opens with a quote
-    if any(c in name for c in ',\r\n') or name.startswith('"') or name != name.strip():
-        raise ValueError(
-            f"column {name!r} cannot be written as a CSV header name: it holds a "
-            f"comma, CR or LF, starts with a double quote, or has leading or "
-            f"trailing whitespace"
-        )
-    return name
+def _header_cell(name: str, first: bool) -> str:
+    # load_dataset decodes UTF-8, dropping a byte-order mark that opens the
+    # file, strips each header name, and its csv reader splits at a comma
+    # or line break and unquotes a name that opens with a quote
+    if any("\ud800" <= c <= "\udfff" for c in name):
+        reason = "UTF-8 cannot encode its lone surrogate"
+    elif first and name.startswith("\ufeff"):
+        reason = "it starts with U+FEFF, the byte-order mark that learn drops"
+    elif any(c in name for c in ',\r\n') or name.startswith('"') or name != name.strip():
+        reason = ("it holds a comma, CR or LF, starts with a double quote, or has "
+                  "leading or trailing whitespace")
+    else:
+        return name
+    raise ValueError(f"column {name!r} cannot be written as a CSV header name: {reason}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synthetic_spec(args.spec)
     data = generate_synthetic(spec, seed=args.seed)
-    header = ",".join(map(_header_cell, data.columns))  # may refuse: write nothing yet
+    # may refuse: write nothing yet
+    header = ",".join(_header_cell(name, k == 0) for k, name in enumerate(data.columns))
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(header + "\n")
         for row in data.values:
@@ -167,21 +172,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_measure(args: argparse.Namespace) -> int:
     names = _parse_pair(args.pair)
     data = load_dataset(args.input)
-    # rank the whole table, as learn does, so a tied column takes the same
-    # tie order; the pair's rank columns have no ties and rank to themselves
     i, j = sorted(data.column_index(name) for name in names)
     a, b = data.columns[i], data.columns[j]
-    ranks = column_ranks(data.values, "random", args.tie_seed)
-    pair = Dataset((a, b), ranks[:, [i, j]])
     measure = _MEASURE_FLAGS[args.measure]
-    w = weight_matrix(pair, measure, args.lattice_order, tie_seed=args.tie_seed)
-    value = w.signed[0, 1]
+    order = _lattice_order(args.lattice_order, data.sample_count)
+    # rank the whole table once, as learn does, so a tied column takes
+    # learn's tie order, and score the pair's two rank columns
+    ranks = column_ranks(data.values, "random", args.tie_seed)
+    value = _scores(ranks[:, [i, j]], measure, order)[0, 1]
     if measure == "rho_abs":
         sys.stdout.write(f"rho({a}, {b}) = {value:.6f}\n")
     else:
-        sys.stdout.write(
-            f"{measure}({a}, {b}) = {value:.6f} [lattice_order={w.lattice_order}]\n"
-        )
+        sys.stdout.write(f"{measure}({a}, {b}) = {value:.6f} [lattice_order={order}]\n")
     return 0
 
 

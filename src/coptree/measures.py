@@ -2,21 +2,27 @@
 
 Spearman's rho is evaluated through the empirical copula lattice at order
 T; the double sum over the lattice telescopes to an O(T) expression in the
-rank products, so no grid is materialized.  Mutual information is the
-plug-in KL divergence of the order-K lattice cell masses from a product of
-margins: the grid's row and column sums, fixed by (T, K) for rank columns
-("mi_cell"), or the nominal 1/K margins of a copula ("mi_kde").  Both
-depend on ranks only.
-:func:`weight_matrix` scores every column pair at once: rho_abs from one
-BLAS product R^T R of the float64 rank matrix (while every partial sum is
-an integer of at most 2^53, so it is exact and the same for any BLAS
-kernel or thread count; an int64 product beyond), the MI measures from
-one cell-counting pass per column and one array expression over each
-block of integer cell counts.  Each cell's ratio to its margins is one
-division of two integer products, exact in float64 while T^2 <= 2^53, so
-an exactly independent grid scores exactly 0.  The single-pair functions
-check their two rank columns, resolve the lattice order as
-:func:`weight_matrix` does, and then call the same kernels on two columns.
+rank products, so no grid is materialized.  Mutual information ("mi_cell")
+is the plug-in KL divergence of the order-K lattice cell masses from the
+product of their margins.  Every rank column puts the same m_c samples in
+lattice cell c, fixed by (T, K) (see :func:`_margins`), so those margins
+are one vector.  "mi_kde" is the mean log copula-cell density at the
+samples, an estimate of copula entropy (Ma & Sun, 2008), which is
+"mi_cell" plus the (T, K) constant 2 * sum_c (m_c/T) ln(K m_c/T), twice
+the KL divergence of the margins from uniform; it is scored that way.
+All three depend on ranks only.
+:func:`_scores` is the one map from a measure name to its kernel, and
+every entry point scores through it: :func:`weight_matrix` on the whole
+rank matrix, the single-pair functions on their two checked rank columns,
+and ``coptree measure`` on two columns of the ranks ``learn`` uses.
+rho_abs comes from one BLAS product R^T R of the float64 rank matrix
+(while every partial sum is an integer of at most 2^53, so it is exact
+and the same for any BLAS kernel or thread count; an int64 product
+beyond), the MI measures from one cell-counting pass per column and one
+array expression over each block of integer cell counts.  Each cell's
+ratio to its margins is one division of two integer products, exact in
+float64 while T^2 <= 2^53, so an exactly independent grid scores exactly
+0.  A pair's score does not depend on the other columns scored with it.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 """
 from __future__ import annotations
@@ -109,7 +115,7 @@ def spearman_rho(rank_x, rank_y) -> float:
     sum_t r_x[t] * r_y[t] because each copula value counts rank pairs
     below a lattice point, so the evaluation is O(T) after ranking.
     """
-    return float(_rho_matrix(_rank_pair(rank_x, rank_y))[0, 1])
+    return _pair_score(rank_x, rank_y, "rho_abs")
 
 
 def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
@@ -127,9 +133,7 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
     ``lattice_order`` 0 picks ``default_lattice_order(T)``, as in
     :func:`weight_matrix`.
     """
-    ranks = _rank_pair(rank_x, rank_y)
-    order = _lattice_order(lattice_order, ranks.shape[0])
-    return float(_mi_weights(ranks, order, True)[0, 1])
+    return _pair_score(rank_x, rank_y, "mi_cell", lattice_order)
 
 
 @dataclass(frozen=True)
@@ -199,26 +203,54 @@ class KernelDensity:
 
 
 def mutual_info_kde(rank_x, rank_y, lattice_order: int) -> float:
-    """Lattice mutual information (nats) against nominal 1/K margins.
+    """Mean log copula-cell density (nats) of a rank pair at order K.
 
-    Returns sum_ij m_ij * ln(m_ij * K^2) over the occupied cells of the
-    order-K mass grid of the rank pair.  That is the sample mean of
-    ln(c_t), with c_t the copula cell density (cell mass times K^2) at
-    sample t: an estimate of the copula-entropy integral ``int c ln c du``.
-    Every rank column puts the same m_c samples in lattice cell c, so
-    ``mutual_info_kde - mutual_info_cell`` is one constant per (T, K),
-    2 * sum_c (m_c/T) ln(K m_c/T): twice the KL divergence of the lattice
-    margins from uniform.  It is 0, and the two agree bit for bit, when K
-    divides T.  ``lattice_order`` 0 picks ``default_lattice_order(T)``, as
-    in :func:`weight_matrix`.
+    The sample mean of ln(c_t), with c_t the copula cell density (cell
+    mass times K^2) at sample t, that is sum_ij m_ij * ln(m_ij * K^2) over
+    the occupied cells of the order-K mass grid: an estimate of the
+    copula-entropy integral ``int c ln c du``, which equals the mutual
+    information.  It is not a separate estimator: every rank column puts
+    the same m_c samples in lattice cell c, so it is
+    :func:`mutual_info_cell` plus one constant per (T, K),
+    2 * sum_c (m_c/T) ln(K m_c/T), twice the KL divergence of the lattice
+    margins from uniform, and it is computed as that sum.  The constant is
+    exactly 0, and the two agree bit for bit, when K divides T.  The tag
+    is historical: no kernel density is fitted.  ``lattice_order`` 0 picks
+    ``default_lattice_order(T)``, as in :func:`weight_matrix`.
     """
+    return _pair_score(rank_x, rank_y, "mi_kde", lattice_order)
+
+
+def _margins(t: int, order: int) -> np.ndarray:
+    """The sample count m_c = floor((c+1)T/K) - floor(cT/K) of lattice
+    cell c, the same in every rank column of length T."""
+    return np.diff(np.arange(order + 1) * t // order)
+
+
+def _scores(ranks: np.ndarray, measure: str, order: int) -> np.ndarray:
+    """Signed N x N weights of every column pair of a T x N rank array,
+    zero diagonal: the one map from a measure name to its kernel."""
+    if measure == "rho_abs":
+        return _rho_matrix(ranks)
+    scores = _mi_weights(ranks, order)
+    if measure == "mi_kde":
+        margin = _margins(len(ranks), order)
+        # K m_c is formed in integers, so the gap is exactly 0 when K | T
+        gap = 2.0 * np.sum(margin / len(ranks) * np.log(order * margin / len(ranks)))
+        scores[~np.eye(len(scores), dtype=bool)] += gap
+    return scores
+
+
+def _pair_score(rank_x, rank_y, measure: str, lattice_order: int = 0) -> float:
+    """The ``measure`` score of two checked rank columns, with the lattice
+    order resolved as :func:`weight_matrix` does."""
     ranks = _rank_pair(rank_x, rank_y)
-    order = _lattice_order(lattice_order, ranks.shape[0])
-    return float(_mi_weights(ranks, order, False)[0, 1])
+    return float(_scores(ranks, measure, _lattice_order(lattice_order, ranks.shape[0]))[0, 1])
 
 
-def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.ndarray:
-    """Symmetric N x N lattice MI of every column pair of a T x N rank array.
+def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
+    """Symmetric N x N lattice MI ("mi_cell") of every column pair of a
+    T x N rank array, zero diagonal.
 
     Each pair's K x K cell counts come from one ``np.bincount`` per column
     i over the columns j > i, taken in blocks of at most
@@ -226,22 +258,20 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
     index cell_i * K + cell_j to a (j - lo) * K^2 offset, so the pairs'
     grids lie side by side in one count vector.  Reshaped to
     (pairs, K, K), the integer counts n_ij give every cell's ratio to its
-    margins in one division: n_ij T / (m_i m_j) against the observed
-    margins, n_ij K^2 / T against the nominal 1/K ones.  Every rank column
-    puts m_c = floor((c+1)T/K) - floor(cT/K) samples in cell c, so the
-    observed margins of every pair are that one vector.  Both integer
-    products are at most T^2, so while T^2 <= 2^53 they are exact in
-    float64 and the ratio is correctly rounded; an exactly independent
-    grid has every ratio exactly 1 and an MI of exactly 0.0.  Empty cells
-    take the ratio 1, so they add 0, and each pair's MI is
-    sum_ij n_ij ln(ratio_ij) / T.
+    margins in one division, n_ij T / (m_i m_j), with m from
+    :func:`_margins`: every rank column has those margins, so every pair
+    does.  Both integer products are at most T^2, so while T^2 <= 2^53
+    they are exact in float64 and the ratio is correctly rounded; an
+    exactly independent grid has every ratio exactly 1 and an MI of
+    exactly 0.0.  Empty cells take the ratio 1, so they add 0, and each
+    pair's MI is sum_ij n_ij ln(ratio_ij) / T.
     """
     t, n = ranks.shape
     cells = _cell_indices(ranks, order).T.copy()
     area = order * order
     width = max(1, _MAX_BLOCK_CELLS // max(t, area))
-    margin = np.diff(np.arange(order + 1) * t // order)
-    scale, den = (t, np.outer(margin, margin)) if observed_margins else (area, t)
+    margin = _margins(t, order)
+    den = np.outer(margin, margin)
     values = np.zeros((n, n))
     for i in range(n - 1):
         row = cells[i] * order
@@ -251,7 +281,7 @@ def _mi_weights(ranks: np.ndarray, order: int, observed_margins: bool) -> np.nda
             flat += np.arange(0, (hi - lo) * area, area)[:, np.newaxis]
             counts = np.bincount(flat.ravel(), minlength=(hi - lo) * area)
             counts = counts.reshape(-1, order, order)
-            ratio = np.divide(counts * scale, den, out=np.ones(counts.shape), where=counts > 0)
+            ratio = np.divide(counts * t, den, out=np.ones(counts.shape), where=counts > 0)
             values[i, lo:hi] = (counts * np.log(ratio)).sum(axis=(1, 2)) / t
             values[lo:hi, i] = values[i, lo:hi]
     return values
@@ -323,11 +353,12 @@ def weight_matrix(
         random, since row-stable ordinal ranks let two heavily tied
         columns inherit spurious dependence from shared row ordering.
 
-    rho_abs takes every pair's rank-product sum from one exact product
-    of the rank matrix with itself (see :func:`_rho_matrix`); the MI
-    measures count the cells of every pair in one pass per column (see
-    :func:`_mi_weights`).  Either way the weights equal the single-pair
-    functions' bit for bit.
+    Every measure is scored by :func:`_scores`: rho_abs takes every
+    pair's rank-product sum from one exact product of the rank matrix
+    with itself (see :func:`_rho_matrix`); the MI measures count the cells
+    of every pair in one pass per column (see :func:`_mi_weights`).  So
+    the single-pair functions, given two of its rank columns in table
+    order, return its entries bit for bit.
 
     The result is deterministic for fixed inputs and independent of the
     order pairs are evaluated in.
@@ -335,17 +366,6 @@ def weight_matrix(
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     lattice_order = _lattice_order(lattice_order, data.sample_count)
-    ranks = column_ranks(data.values, "random", tie_seed)
-    if measure == "rho_abs":
-        signed = _rho_matrix(ranks)
-        values = np.abs(signed)
-    else:
-        values = _mi_weights(ranks, lattice_order, measure == "mi_cell")
-        signed = values.copy()
-    return WeightMatrix(
-        names=data.columns,
-        measure=measure,
-        lattice_order=lattice_order,
-        values=values,
-        signed=signed,
-    )
+    signed = _scores(column_ranks(data.values, "random", tie_seed), measure, lattice_order)
+    return WeightMatrix(names=data.columns, measure=measure, lattice_order=lattice_order,
+                        values=np.abs(signed), signed=signed)

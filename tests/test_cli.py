@@ -368,14 +368,14 @@ class TestSynth:
 
 
     @staticmethod
-    def _named_spec(tmp_path, name):
+    def _named_spec(tmp_path, name, other="b"):
         spec = tmp_path / "named.json"
         spec.write_text(json.dumps({
             "blocks": [{"vars": [1, 2], "family": "gaussian", "theta": 0.5}],
             "margins": [{"family": "standard_normal"}] * 2,
             "samples": 50,
             "seed": 0,
-            "names": [name, "b"],
+            "names": [name, other],
         }))
         return spec
 
@@ -386,6 +386,35 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--output", str(output)]) == 1
         assert f"error: column {name!r} cannot be written" in capsys.readouterr().err
         assert not output.exists()
+
+    @pytest.mark.parametrize("names, bad, reason", [
+        (("G\ud800", "G2"), "G\ud800", "UTF-8 cannot encode"),
+        (("G1", "G\udfff"), "G\udfff", "UTF-8 cannot encode"),
+        (("\ufeffG1", "G2"), "\ufeffG1", "byte-order mark"),
+    ], ids=["surrogate-first", "surrogate-second", "bom-first"])
+    @pytest.mark.parametrize("existing", [None, b"kept,bytes\n"], ids=["new", "existing"])
+    def test_refused_header_leaves_the_output_alone(self, tmp_path, capsys, names, bad,
+                                                    reason, existing):
+        # the names are checked before the output is opened, which would
+        # create or truncate it
+        output = tmp_path / "x.csv"
+        if existing is not None:
+            output.write_bytes(existing)
+        spec = self._named_spec(tmp_path, *names)
+        assert main(["synth", "--spec", str(spec), "--output", str(output)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: column {bad!r} cannot be written" in err and reason in err
+        if existing is None:
+            assert not output.exists()
+        else:
+            assert output.read_bytes() == existing
+
+    def test_byte_order_mark_after_the_first_name_round_trips(self, tmp_path):
+        output, tree = tmp_path / "x.csv", tmp_path / "tree.json"
+        spec = self._named_spec(tmp_path, "a", "\ufeffb")
+        assert main(["synth", "--spec", str(spec), "--output", str(output)]) == 0
+        assert main(["learn", "--input", str(output), "--json", str(tree)]) == 0
+        assert json.loads(tree.read_text())["nodes"] == ["a", "\ufeffb"]
 
     @pytest.mark.parametrize("name", ['q"x', "a b"])
     def test_inner_quote_or_space_round_trips(self, tmp_path, name):

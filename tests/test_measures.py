@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coptree import (
+    MEASURES,
     Dataset,
     KernelDensity,
     WeightMatrix,
@@ -599,3 +600,38 @@ class TestBulkRhoWeights:
                   for table in (values, values[rows])]
         assert rho[0] == rho[1] and signed[0] == signed[1]
         assert rho[0] == exact and signed[0] == exact
+
+
+class TestScores:
+    """``measures._scores`` is the one scorer behind every entry point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pair_of_rank_columns_scores_the_matrix_entry(self, data):
+        # coptree measure scores two columns of the whole table's ranks in
+        # table order; it prints 6 decimals, so only this sees a last-bit
+        # drift
+        t = data.draw(st.integers(2, 300), label="T")
+        n = data.draw(st.integers(2, 6), label="N")
+        measure = data.draw(st.sampled_from(MEASURES), label="measure")
+        order = data.draw(st.sampled_from([0, 2, t]) | st.integers(2, t), label="K")
+        tie_seed = data.draw(st.integers(0, 2), label="tie seed")
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                  unique=True), label="pair")
+        levels = data.draw(st.integers(1, 6), label="levels")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.integers(0, levels, size=(t, n)).astype(float)
+        table = Dataset(columns=tuple(f"c{k}" for k in range(n)), values=values)
+        ranks = column_ranks(values, "random", tie_seed)
+        entry = weight_matrix(table, measure, order, tie_seed).signed[i, j]
+        order = measures._lattice_order(order, t)
+        pair = measures._scores(ranks[:, sorted((i, j))], measure, order)
+        assert pair[0, 1] == pair[1, 0] == entry
+        assert pair[0, 0] == pair[1, 1] == 0.0
+        # the other column order transposes each MI grid, whose cells are
+        # then summed in another order: equal up to rounding, not bit for bit
+        swapped = measures._scores(ranks[:, sorted((i, j), reverse=True)], measure, order)
+        if measure == "rho_abs":
+            assert swapped[0, 1] == entry
+        else:
+            assert abs(swapped[0, 1] - entry) <= 1e-14
