@@ -16,6 +16,8 @@ copies of the package then run the same cases in fresh interpreters:
   columns alternate, generated from a fixed seed into the temporary
   directory (every housing column is tied, so only this table shows
   which columns draw a random tie order);
+- ``coptree learn`` (each measure) on a 300 x 4 table whose header quotes
+  one name that spans two lines, generated into the temporary directory;
 - ``coptree measure`` stdout for three column pairs and each measure;
 - ``coptree synth`` on data/synthetic_spec.json, with and without
   ``--seed 7``: stdout and the output CSV;
@@ -137,6 +139,14 @@ def _write_mixed_table(path: Path) -> None:
                header=",".join(f"m{j}" for j in range(8)))
 
 
+def _write_quoted_header_table(path: Path) -> None:
+    """A dependent 300 x 4 CSV whose first header name spans two lines."""
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((300, 4)) @ np.triu(rng.standard_normal((4, 4)))
+    np.savetxt(path, values, fmt="%.17g", delimiter=",", comments="",
+               header='"q0\nsecond line",q1,q2,q3')
+
+
 def collect(src: Path, work: Path) -> dict[str, bytes]:
     """Output bytes of every case, keyed by case name, for the package in src."""
     work.mkdir()
@@ -151,6 +161,12 @@ def collect(src: Path, work: Path) -> dict[str, bytes]:
     for measure in MEASURES:
         outputs.update(_learn(src, work, f"learn {measure} mixed table", [
             "--input", str(mixed), "--measure", measure,
+        ]))
+    quoted = work / "quoted.csv"
+    _write_quoted_header_table(quoted)
+    for measure in MEASURES:
+        outputs.update(_learn(src, work, f"learn {measure} quoted header", [
+            "--input", str(quoted), "--measure", measure,
         ]))
     for pair in PAIRS:
         for measure in MEASURES:

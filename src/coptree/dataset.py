@@ -44,6 +44,16 @@ def _integer(value, name: str, lowest: int, highest: int | None = None) -> int:
     return int(value)
 
 
+def _unique_names(names, kind: str) -> tuple:
+    """``names`` as a tuple, once no name is found twice in it.  Raises
+    ValueError naming the repeated ones, as ``kind`` names."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        dupes = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(f"duplicate {kind} name(s): {', '.join(dupes)}")
+    return names
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A T x N table of finite reals with named columns.
@@ -69,9 +79,7 @@ class Dataset:
             raise ValueError(f"{len(columns)} column names for {n} columns")
         if any(not isinstance(c, str) or not c for c in columns):
             raise ValueError("column names must be nonempty strings")
-        if len(set(columns)) != n:
-            dupes = sorted({c for c in columns if columns.count(c) > 1})
-            raise ValueError(f"duplicate column name(s): {', '.join(dupes)}")
+        _unique_names(columns, "column")
         if not np.all(np.isfinite(values)):
             i, j = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(
@@ -162,62 +170,23 @@ def load_dataset(source) -> Dataset:
 
     Notes
     -----
-    A path is first parsed by ``np.loadtxt``, which reads the body from
-    the file in chunks.  Whenever that fast path cannot vouch for the
-    result (a quote in the header, a cell or line it rejects, a field count
-    other than the header's, no data rows), the file is reopened and parsed
-    again by the validating parser, so a path gives the same values and error
-    messages either way.  A stream always goes to the validating parser.
+    One csv reader parses the header, of a path or a stream alike.  For a
+    path, ``np.loadtxt`` then reads only the body, in chunks, skipping the
+    lines the header spanned.  Whenever it cannot vouch for the result (a
+    cell or line it rejects, a field count other than the header's, no data
+    rows), the same reader goes on through the body, so a path gives the
+    same values and error messages either way.  A stream is read by that
+    reader alone.
     """
     if isinstance(source, (str, os.PathLike)):
-        parsed = _fast_parse(source)
-        if parsed is not None:
-            return Dataset(*parsed)
         with open(source, "r", encoding="utf-8-sig", newline="",
                   errors="surrogateescape") as handle:
-            return _parse_csv(handle)
+            return _parse_csv(handle, source)
     return _parse_csv(source)
 
 
-def _fast_parse(path):
-    """(columns, values) of a CSV file parsed by ``np.loadtxt``.
-
-    None where only :func:`_parse_csv` can tell what the text means: a
-    quote in the header (csv may join lines there), a line or cell loadtxt
-    rejects, no data rows (loadtxt warns), or a field count other than the
-    header's.  Every cell loadtxt accepts, ``float`` accepts with the same
-    bits.  The header is read from a handle opened as for ``_parse_csv``;
-    loadtxt reads the path in chunks and skips that one line.  Both end a
-    line at any of LF, CR and CRLF, as csv does on such a handle, so
-    whatever this returns, ``_parse_csv`` returns too.  loadtxt decodes
-    the whole file strictly, header included, so a byte that is not valid
-    UTF-8 anywhere raises its UnicodeDecodeError, a ValueError.
-    """
-    with open(path, "r", encoding="utf-8-sig", newline="",
-              errors="surrogateescape") as handle:
-        line = handle.readline()
-    if '"' in line:
-        return None
-    try:
-        header = next(csv.reader([line]), [])
-    except csv.Error:
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            values = np.loadtxt(path, delimiter=",", skiprows=1,
-                                encoding="utf-8-sig", comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return None
-    if values.shape[1] != len(header):
-        return None
-    return tuple(name.strip() for name in header), values
-
-
-def _parse_csv(handle) -> Dataset:
-    # Only what Dataset cannot know is checked here: the header, the field
-    # count and the text of each cell.  Dataset checks the rest.
-    reader = csv.reader(handle)
+def _header(reader) -> tuple[str, ...]:
+    """The stripped column names of the header record of a csv reader."""
     try:
         header = next(reader)
     except StopIteration:
@@ -227,8 +196,42 @@ def _parse_csv(handle) -> Dataset:
     for j, name in enumerate(header):
         if _ESCAPED_BYTE.search(name):
             raise ValueError(f"header row: column {j + 1} is not valid UTF-8")
-    columns = tuple(name.strip() for name in header)
+    return tuple(name.strip() for name in header)
+
+
+def _loadtxt_body(path, skip: int, n: int):
+    """The T x n body of the CSV file at ``path``, the lines after its first
+    ``skip``, parsed by ``np.loadtxt``.
+
+    None where only the csv reader can tell what the text means: a line or
+    cell loadtxt rejects, no data rows (loadtxt warns), or a field count
+    other than ``n``.  Every cell loadtxt accepts, ``float`` accepts with
+    the same bits.  loadtxt ends a line at any of LF, CR and CRLF, as csv
+    does on a handle opened with ``newline=""``, so ``skip`` lines are the
+    header's and whatever this returns, the csv reader returns too.
+    loadtxt decodes the whole file strictly, so a byte that is not valid
+    UTF-8 anywhere raises its UnicodeDecodeError, a ValueError.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(path, delimiter=",", skiprows=skip,
+                                encoding="utf-8-sig", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return values if values.shape[1] == n else None
+
+
+def _parse_csv(handle, path=None) -> Dataset:
+    # Only what Dataset cannot know is checked here: the header, the field
+    # count and the text of each cell.  Dataset checks the rest.
+    reader = csv.reader(handle)
+    columns = _header(reader)
     n = len(columns)
+    if path is not None:
+        values = _loadtxt_body(path, reader.line_num, n)
+        if values is not None:
+            return Dataset(columns, values)
     rows = []
     try:
         for record in reader:

@@ -27,11 +27,11 @@ float64 while T^2 <= 2^53, so an exactly independent grid scores exactly
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, _check_permutations, _integer, column_ranks
+from .dataset import Dataset, _check_permutations, _integer, _unique_names, column_ranks
 from .empirical import _cell_indices, _check_lattice, default_lattice_order
 
 __all__ = [
@@ -125,7 +125,10 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
     sum_ij m_ij * ln(m_ij / (m_i. * m_.j)) with 0 ln 0 := 0, where the
     margins m_i., m_.j are the grid's row and column sums (the same fixed
     vector for every rank column, see ``_mi_weights``).  Nonnegative (it
-    is a KL divergence) and symmetric in its arguments.
+    is a KL divergence).  Given two rank columns in table order it equals
+    the :func:`weight_matrix` entry bit for bit; swapping the arguments
+    transposes the grid, so the sum runs in another order and agrees only
+    to rounding (it can differ in the last bit).
 
     Note: the estimator carries an upward bias of roughly
     (K-1)^2 / (2T) nats at independence; keep K well below sqrt(T)
@@ -291,36 +294,36 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
 class WeightMatrix:
     """Symmetric N x N matrix of pairwise dependence weights.
 
-    ``values`` holds the spanning weights (|rho| or MI, all >= 0, zero
-    diagonal); ``signed`` keeps the signed rho for reporting and equals
-    ``values`` for the MI measures.
+    ``signed`` holds the scores (the signed rho for rho_abs, the MI, which
+    is >= 0, for the MI measures), zero diagonal; ``values`` is derived as
+    ``np.abs(signed)``, the spanning weights.
     """
 
     names: tuple[str, ...]
     measure: str
     lattice_order: int
-    values: np.ndarray
     signed: np.ndarray
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.names)
+        names = _unique_names(self.names, "variable")
+        n = len(names)
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
-        values = np.asarray(self.values, dtype=float)
         signed = np.asarray(self.signed, dtype=float)
-        if values.shape != (n, n) or signed.shape != (n, n):
-            raise ValueError(f"weight matrices must have shape {(n, n)}")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(signed))):
+        if signed.shape != (n, n):
+            raise ValueError(f"weight matrix must have shape {(n, n)}")
+        if not np.all(np.isfinite(signed)):
             raise ValueError("weights must be finite")
-        if np.abs(values - values.T).max(initial=0.0) > 1e-12:
+        if np.abs(signed - signed.T).max(initial=0.0) > 1e-12:
             raise ValueError("weight matrix must be symmetric")
-        if np.any(np.diag(values) != 0.0):
+        if np.any(np.diag(signed) != 0.0):
             raise ValueError("diagonal entries must be 0")
-        if np.any(values < 0.0):
-            raise ValueError("off-diagonal weights must be nonnegative")
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", values)
+        if self.measure != "rho_abs" and np.any(signed < 0.0):
+            raise ValueError(f"{self.measure} weights must be nonnegative")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "signed", signed)
+        object.__setattr__(self, "values", np.abs(signed))
 
     @property
     def dim(self) -> int:
@@ -339,8 +342,8 @@ def weight_matrix(
     ----------
     data : Dataset
     measure : {"rho_abs", "mi_cell", "mi_kde"}
-        rho_abs stores |rho| in ``values`` and the signed rho in
-        ``signed``; both MI measures store the MI in both.
+        ``signed`` holds the signed rho for rho_abs and the MI for the
+        MI measures; ``values`` is its absolute value.
     lattice_order : int
         Grid resolution for the MI measures; 0 picks
         ``default_lattice_order(T)``.  Otherwise it must be an integer in
@@ -367,5 +370,4 @@ def weight_matrix(
         raise ValueError(f"unknown measure {measure!r}")
     lattice_order = _lattice_order(lattice_order, data.sample_count)
     signed = _scores(column_ranks(data.values, "random", tie_seed), measure, lattice_order)
-    return WeightMatrix(names=data.columns, measure=measure, lattice_order=lattice_order,
-                        values=np.abs(signed), signed=signed)
+    return WeightMatrix(data.columns, measure, lattice_order, signed)

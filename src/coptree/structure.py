@@ -14,11 +14,11 @@ vertices hold the top weight.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _unique_names
 from .measures import WeightMatrix, weight_matrix
 
 __all__ = [
@@ -32,13 +32,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TreeEdge:
-    """Undirected weighted tree edge; ``signed_value`` keeps the signed
-    rho when the measure is rho_abs (equal to ``weight`` otherwise)."""
+    """Undirected weighted tree edge.  ``signed_value`` is the pair's
+    score (the signed rho for rho_abs, the MI otherwise); ``weight`` is
+    derived as ``abs(signed_value)``, the spanning weight."""
 
     u: str
     v: str
-    weight: float
     signed_value: float
+    weight: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", abs(self.signed_value))
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class DependenceTree:
     coverage_ratio: float | None = None
 
     def __post_init__(self):
-        nodes = tuple(self.nodes)
+        nodes = _unique_names(self.nodes, "node")
         edges = tuple(self.edges)
         if len(edges) != len(nodes) - 1:
             raise ValueError(
@@ -134,15 +138,7 @@ def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
             u = int(top[key.argmin()])
         v = int(partner[u])
         edges.append((min(u, v), max(u, v)))
-    tree_edges = tuple(
-        TreeEdge(
-            u=w.names[a],
-            v=w.names[b],
-            weight=float(values[a, b]),
-            signed_value=float(w.signed[a, b]),
-        )
-        for a, b in edges
-    )
+    tree_edges = tuple(TreeEdge(w.names[a], w.names[b], float(w.signed[a, b])) for a, b in edges)
     return DependenceTree(
         nodes=w.names,
         edges=tree_edges,

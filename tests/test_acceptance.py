@@ -142,13 +142,7 @@ def test_criterion_5c_mst_vs_enumeration():
             for i in range(n):
                 for j in range(i + 1, n):
                     values[i, j] = values[j, i] = rng.random()
-            w = ct.WeightMatrix(
-                names=names,
-                measure="mi_cell",
-                lattice_order=2,
-                values=values,
-                signed=values.copy(),
-            )
+            w = ct.WeightMatrix(names=names, measure="mi_cell", lattice_order=2, signed=values)
             tree = ct.maximum_spanning_tree(w)
             assert tree.total_weight() == pytest.approx(best_tree_weight(values))
 

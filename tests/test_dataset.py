@@ -23,7 +23,7 @@ from coptree import (
     sample_gaussian_copula,
 )
 from coptree import dataset
-from coptree.dataset import _fast_parse, _parse_csv
+from coptree.dataset import _header, _loadtxt_body, _parse_csv
 from oracles import literal_column_ranks
 
 
@@ -141,8 +141,20 @@ def outcome(read):
     return data.columns, data.values.shape, data.values.tobytes()
 
 
-# Cells the fast path must either parse exactly as float() does or hand to
-# the validating parser: spaces, signed zeros, specials, underscores,
+def loadtxt_body(path):
+    """(columns, values) of a CSV file whose header one csv reader parses,
+    as load_dataset does, and whose body _loadtxt_body then reads; None
+    where _loadtxt_body leaves the body to that reader."""
+    with open(path, "r", encoding="utf-8-sig", newline="",
+              errors="surrogateescape") as handle:
+        reader = csv.reader(handle)
+        columns = _header(reader)
+        values = _loadtxt_body(path, reader.line_num, len(columns))
+    return None if values is None else (columns, values)
+
+
+# Cells loadtxt must either parse exactly as float() does or leave to the
+# csv reader: spaces, signed zeros, specials, underscores,
 # comments, non-ASCII digits and whitespace, quotes, empty and junk cells.
 ODD_CELLS = ["-0.0", " 1.5 ", "\t2", "3\u3000", "\xa04", "nan", "-inf", "Infinity",
              "1e400", "1_0", "nan(1)", "#1", "#", "\u0661", "", "x", "1.", ".5",
@@ -157,7 +169,7 @@ class TestIngestFastPath:
         text = f"a,b\n{cell},1\n2,3\n"
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
-        assert _fast_parse(path) is None
+        assert loadtxt_body(path) is None
         if parsed is None:
             with pytest.raises(ValueError, match=rf"^row 1, column 'a': cannot parse"):
                 load_dataset(path)
@@ -168,13 +180,12 @@ class TestIngestFastPath:
         "a,b\n",  # header only: loadtxt warns
         "a\n",
         "a,b\n1,2\n   \n3,4\n",  # whitespace-only line: csv skips it
-        '"a",b\n1,2\n3,4\n',  # a quote in the header
         "a,b\n1,2,3\n4,5,6\n",  # every row has a field the header lacks
     ])
     def test_falls_back_where_loadtxt_cannot_tell(self, text, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
-        assert _fast_parse(path) is None
+        assert loadtxt_body(path) is None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = outcome(lambda: load_dataset(path))
@@ -185,7 +196,7 @@ class TestIngestFastPath:
         text = "\ufeffa, b\r\n 1 ,-0.0\r\n\r\nInfinity,2\r\n3,4"
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
-        columns, values = _fast_parse(path)
+        columns, values = loadtxt_body(path)
         assert columns == ("a", "b")  # the byte-order mark is dropped
         assert values.tobytes() == np.array([[1, -0.0], [np.inf, 2], [3, 4]]).tobytes()
 
@@ -197,12 +208,57 @@ class TestIngestFastPath:
     def test_mixed_line_ends_parse_alike(self, text, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
-        columns, values = _fast_parse(path)
+        columns, values = loadtxt_body(path)
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             expected = _parse_csv(handle)
         assert columns == expected.columns
         assert values.tobytes() == expected.values.tobytes()
         assert load_dataset(path).values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("text, name", [
+        ('"a",b\n1,2\n3,4\n', "a"),
+        ('"a,q",b\n1,2\n3,4\n', "a,q"),
+        ('"a\nq",b\n1,2\n3,4\n', "a\nq"),  # a name over two lines (LF)
+        ('"a\r\nq",b\r\n1,2\r\n3,4\r\n', "a\r\nq"),  # CRLF inside the quotes
+    ])
+    def test_quoted_header_then_loadtxt_reads_the_body(self, text, name, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        bodies = []
+
+        def body(*args):
+            bodies.append(_loadtxt_body(*args))
+            return bodies[-1]
+
+        with mock.patch.object(dataset, "_loadtxt_body", side_effect=body):
+            got = outcome(lambda: load_dataset(path))
+        assert bodies[0] is not None  # loadtxt read the body, no fallback
+        assert got[0] == (name, "b")
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            assert got == outcome(lambda: _parse_csv(handle))
+
+    def test_header_byte_not_valid_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'a,"b\n\xff",c\n1,2,3\n4,5,6\n')
+        with pytest.raises(ValueError, match=r"^header row: column 2 is not valid UTF-8$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n3,4\n",  # loadtxt reads the body
+        '"a\nq",b\n1,2\n3,4\n',
+        "a,b\n1,2\n   \n3,4\n",  # the csv reader goes on through the body
+        "a,b\n1,x\n3,4\n",
+        "a,b\n",
+    ])
+    def test_one_open_and_one_header_reader_per_path(self, text, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch("coptree.dataset.open", side_effect=open, create=True) as opened, \
+                mock.patch("csv.reader", side_effect=csv.reader) as readers:
+            got = outcome(lambda: load_dataset(path))
+        assert (opened.call_count, readers.call_count) == (1, 1)
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            assert got == outcome(lambda: _parse_csv(handle))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -251,7 +307,7 @@ class TestIngestFastPath:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             expected = outcome(lambda: _parse_csv(handle))
         assert outcome(lambda: load_dataset(path)) == expected
-        fast = _fast_parse(path)
+        fast = loadtxt_body(path)
         if fast is not None:
             assert outcome(lambda: Dataset(*fast)) == expected
 

@@ -119,6 +119,19 @@ class TestMutualInfoCell:
             assert forward >= 0.0
             assert abs(forward - backward) < 1e-12
 
+    def test_table_order_is_exact_and_swapped_order_agrees_to_rounding(self):
+        # a tied table: the transposed grid sums in another order, which
+        # here moves the last bit; in table order the weight_matrix entry
+        # is matched bit for bit
+        table = np.ones((43, 2))
+        r = column_ranks(table, "random", 0)
+        forward = mutual_info_cell(r[:, 0], r[:, 1], 3)
+        backward = mutual_info_cell(r[:, 1], r[:, 0], 3)
+        w = weight_matrix(Dataset(columns=("a", "b"), values=table), "mi_cell", 3)
+        assert forward == w.signed[0, 1] == 0.05102908175678003
+        assert backward == 0.05102908175678002
+        assert abs(forward - backward) <= 1e-15
+
     def test_order_validation(self):
         ranks = np.arange(1, 9)
         with pytest.raises(ValueError, match="lattice order"):
@@ -307,30 +320,43 @@ class TestWeightMatrix:
         for order in (-3, 1, 31):
             with pytest.raises(ValueError, match="lattice order"):
                 weight_matrix(data, "rho_abs", lattice_order=order)
-        with pytest.raises(ValueError, match="symmetric"):
-            WeightMatrix(
-                names=("a", "b"),
-                measure="mi_cell",
-                lattice_order=2,
-                values=np.array([[0.0, 1.0], [0.5, 0.0]]),
-                signed=np.zeros((2, 2)),
-            )
-        with pytest.raises(ValueError, match="nonnegative"):
-            WeightMatrix(
-                names=("a", "b"),
-                measure="mi_cell",
-                lattice_order=2,
-                values=np.array([[0.0, -1.0], [-1.0, 0.0]]),
-                signed=np.zeros((2, 2)),
-            )
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_asymmetric_scores_rejected(self, measure):
+        signed = np.array([[0.0, 0.9, 0.5], [0.9, 0.0, 0.1], [0.5, -0.3, 0.0]])
+        with pytest.raises(ValueError, match="^weight matrix must be symmetric$"):
+            WeightMatrix(("a", "b", "c"), measure, 2, signed)
+
+    @pytest.mark.parametrize("measure", ["mi_cell", "mi_kde"])
+    def test_negative_mi_rejected(self, measure):
+        signed = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match=f"^{measure} weights must be nonnegative$"):
+            WeightMatrix(("a", "b"), measure, 2, signed)
+
+    def test_negative_rho_kept_signed(self):
+        w = WeightMatrix(("a", "b"), "rho_abs", 2, np.array([[0.0, -0.5], [-0.5, 0.0]]))
+        assert w.signed[0, 1] == -0.5 and w.values[0, 1] == 0.5
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_duplicate_names_rejected(self, measure):
+        with pytest.raises(ValueError, match=r"^duplicate variable name\(s\): a$"):
+            WeightMatrix(("a", "a", "b"), measure, 2, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         weights = np.array([[0.0, bad], [bad, 0.0]])
-        for values, signed in ((weights, np.zeros((2, 2))), (np.zeros((2, 2)), weights)):
+        for measure in MEASURES:
             with pytest.raises(ValueError, match="finite"):
-                WeightMatrix(names=("a", "b"), measure="mi_cell", lattice_order=2,
-                             values=values, signed=signed)
+                WeightMatrix(names=("a", "b"), measure=measure, lattice_order=2,
+                             signed=weights)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_values_are_the_absolute_scores(self, measure):
+        rng = np.random.default_rng(21)
+        values = rng.standard_normal((80, 4))
+        values[:, 1] -= values[:, 0]
+        w = weight_matrix(Dataset(columns=tuple("abcd"), values=values), measure)
+        assert np.array_equal(w.values, np.abs(w.signed))
 
 
 LATTICE_T = 500  # default lattice order 5

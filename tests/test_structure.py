@@ -20,13 +20,7 @@ def matrix_of(names, entries, measure="mi_cell"):
     values = np.zeros((n, n))
     for (i, j), w in entries.items():
         values[i, j] = values[j, i] = w
-    return WeightMatrix(
-        names=tuple(names),
-        measure=measure,
-        lattice_order=2,
-        values=values,
-        signed=values.copy(),
-    )
+    return WeightMatrix(names=tuple(names), measure=measure, lattice_order=2, signed=values)
 
 
 class TestMaximumSpanningTree:
@@ -95,8 +89,7 @@ class TestMaximumSpanningTree:
         values[np.triu_indices(n, 1)] = upper
         values += values.T
         names = tuple(f"v{i}" for i in range(n))
-        w = WeightMatrix(names=names, measure="mi_cell", lattice_order=2,
-                         values=values, signed=values)
+        w = WeightMatrix(names=names, measure="mi_cell", lattice_order=2, signed=values)
         tree = maximum_spanning_tree(w)
         got = [(names.index(e.u), names.index(e.v)) for e in tree.edges]
         assert got == literal_prim(values)
@@ -114,8 +107,7 @@ class TestMaximumSpanningTree:
         values[np.triu_indices(n, 1)] = rng.random(n * (n - 1) // 2) < heavy
         values += values.T
         names = tuple(f"v{i}" for i in range(n))
-        w = WeightMatrix(names=names, measure="mi_cell", lattice_order=2,
-                         values=values, signed=values)
+        w = WeightMatrix(names=names, measure="mi_cell", lattice_order=2, signed=values)
         tree = maximum_spanning_tree(w)
         got = [(names.index(e.u), names.index(e.v)) for e in tree.edges]
         assert got == literal_prim(values)
@@ -130,16 +122,15 @@ class TestMaximumSpanningTree:
         assert got[:3] == [(1, 4), (1, 5), (3, 4)]
         assert got == literal_prim(w.values)
 
+    def test_duplicate_names_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^duplicate variable name\(s\): a$"):
+            maximum_spanning_tree(matrix_of(("a", "a", "b"), {(0, 1): 0.9, (1, 2): 0.5}))
+
     def test_single_node_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             maximum_spanning_tree(
-                WeightMatrix(
-                    names=("a",),
-                    measure="mi_cell",
-                    lattice_order=2,
-                    values=np.zeros((1, 1)),
-                    signed=np.zeros((1, 1)),
-                )
+                WeightMatrix(names=("a",), measure="mi_cell", lattice_order=2,
+                             signed=np.zeros((1, 1)))
             )
 
 
@@ -148,7 +139,7 @@ class TestDependenceTreeType:
         with pytest.raises(ValueError, match="edges"):
             DependenceTree(
                 nodes=("a", "b", "c"),
-                edges=(TreeEdge("a", "b", 1.0, 1.0),),
+                edges=(TreeEdge("a", "b", 1.0),),
                 measure="mi_cell",
                 lattice_order=2,
             )
@@ -158,9 +149,18 @@ class TestDependenceTreeType:
             DependenceTree(
                 nodes=("a", "b", "c"),
                 edges=(
-                    TreeEdge("a", "b", 1.0, 1.0),
-                    TreeEdge("a", "b", 0.5, 0.5),
+                    TreeEdge("a", "b", 1.0),
+                    TreeEdge("a", "b", 0.5),
                 ),
+                measure="mi_cell",
+                lattice_order=2,
+            )
+
+    def test_duplicate_nodes_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^duplicate node name\(s\): a$"):
+            DependenceTree(
+                nodes=("a", "b", "a"),
+                edges=(TreeEdge("a", "b", 1.0), TreeEdge("b", "a", 0.5)),
                 measure="mi_cell",
                 lattice_order=2,
             )
@@ -169,7 +169,7 @@ class TestDependenceTreeType:
         with pytest.raises(ValueError, match="unknown"):
             DependenceTree(
                 nodes=("a", "b"),
-                edges=(TreeEdge("a", "q", 1.0, 1.0),),
+                edges=(TreeEdge("a", "q", 1.0),),
                 measure="mi_cell",
                 lattice_order=2,
             )
@@ -266,3 +266,14 @@ class TestLearnStructure:
         index = {name: i for i, name in enumerate(w.names)}
         for edge in tree.edges:
             assert edge.weight == w.values[index[edge.u], index[edge.v]]
+
+    @pytest.mark.parametrize("measure", ["rho_abs", "mi_cell", "mi_kde"])
+    def test_edge_weight_is_absolute_signed_value(self, measure):
+        rng = np.random.default_rng(27)
+        values = rng.standard_normal((120, 5))
+        values[:, 1] -= values[:, 0]  # one negatively dependent pair
+        tree = learn_structure(Dataset(columns=tuple("abcde"), values=values), measure)
+        for edge in tree.edges:
+            assert edge.weight == abs(edge.signed_value)
+        if measure == "rho_abs":
+            assert any(edge.signed_value < 0.0 for edge in tree.edges)
