@@ -30,7 +30,10 @@ copies of the package then run the same cases in fresh interpreters:
   ``signed`` (each measure) on a tied 50000 x 16 and a tied 500 x 300
   table, saved with ``np.save`` so dtype and shape are compared too, and
   the ``maximum_spanning_tree`` edges of each weight matrix in the order
-  they join the tree.
+  they join the tree;
+- ``copula_cdf_grid`` and ``copula_mass_grid`` ``values`` of the first 1,
+  2 and 3 columns of the tied 500 x 300 table's ranks, under both tie
+  modes, at lattice orders 1, 2, 5 and 13, saved with ``np.save``.
 
 Prints one line per differing case and a summary; exits 1 if any case
 differs, 0 if none does, and 2 if REF cannot be unpacked or the array
@@ -76,7 +79,10 @@ from pathlib import Path
 
 import numpy as np
 
-from coptree import Dataset, column_ranks, maximum_spanning_tree, weight_matrix
+from coptree import (
+    Dataset, RankMatrix, column_ranks, copula_cdf_grid, copula_mass_grid,
+    maximum_spanning_tree, weight_matrix,
+)
 
 out = Path(sys.argv[1])
 for t, n in ((50000, 16), (500, 300)):
@@ -84,8 +90,9 @@ for t, n in ((50000, 16), (500, 300)):
     values = rng.standard_normal((t, n)) @ np.triu(rng.standard_normal((n, n)))
     values[:, ::2] = np.round(values[:, ::2])  # every other column tied
     tag = f"{t}x{n}"
-    np.save(out / f"{tag}-ranks-stable.npy", column_ranks(values, "stable"))
-    np.save(out / f"{tag}-ranks-random.npy", column_ranks(values, "random", 0))
+    ranks = {"stable": column_ranks(values, "stable"), "random": column_ranks(values, "random", 0)}
+    for mode, r in ranks.items():
+        np.save(out / f"{tag}-ranks-{mode}.npy", r)
     table = Dataset(columns=tuple(f"c{j}" for j in range(n)), values=values)
     for measure in ("rho_abs", "mi_cell", "mi_kde"):
         w = weight_matrix(table, measure)
@@ -94,6 +101,13 @@ for t, n in ((50000, 16), (500, 300)):
         edges = maximum_spanning_tree(w).edges
         (out / f"{tag}-{measure}-tree.txt").write_text("".join(
             f"{e.u} {e.v} {e.weight!r} {e.signed_value!r}\\n" for e in edges))
+# the last table is the tied 500 x 300 one; its column 0 is tied, 1 is not
+for mode, r in ranks.items():
+    for dim in (1, 2, 3):
+        for order in (1, 2, 5, 13):
+            for kind, grid in (("cdf", copula_cdf_grid), ("mass", copula_mass_grid)):
+                np.save(out / f"{tag}-{kind}-{mode}-{dim}d-K{order}.npy",
+                        grid(RankMatrix(r[:, :dim]), order).values)
 """
 
 

@@ -11,7 +11,8 @@ import sys
 
 from .algebra import generate_synthetic, load_synthetic_spec
 from .dataset import column_ranks, load_dataset
-from .measures import _lattice_order, _scores
+from .empirical import _lattice_order
+from .measures import _scores
 from .structure import DependenceTree, learn_structure
 
 __all__ = ["main", "build_parser", "tree_as_dict", "tree_as_dot"]
@@ -137,10 +138,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 def _header_cell(name: str, first: bool) -> str:
     # load_dataset decodes UTF-8, dropping a byte-order mark that opens the
     # file, strips each header name, and its csv reader splits at a comma
@@ -165,7 +162,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(header + "\n")
         for row in data.values:
-            handle.write(",".join(_format_float(v) for v in row) + "\n")
+            handle.write(",".join(repr(float(v)) for v in row) + "\n")
     return 0
 
 
@@ -195,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as error:
+    except (ValueError, OSError) as error:
         sys.stderr.write(f"error: {error}\n")
         return 1
     except Exception as error:  # pragma: no cover - defensive

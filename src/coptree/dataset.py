@@ -146,7 +146,13 @@ def load_dataset(source) -> Dataset:
     source : str, os.PathLike or text file object
         Path to a CSV file, or an open text stream.  UTF-8 (a leading
         byte-order mark in a file is dropped), comma separator, one header
-        row, decimal point; no quoting.  Blank lines are skipped.  A file
+        row, decimal point.  Records follow the csv module's default
+        dialect: a field that opens with a double quote runs to the next
+        lone one and may hold commas, line breaks and doubled quotes, and
+        the quotes are removed, so a header name may hold a comma or span
+        lines and a quoted cell such as ``"7"`` reads as 7.0; a quote
+        anywhere else in a field is kept.  Header names are then stripped
+        of surrounding whitespace.  Blank lines are skipped.  A file
         is decoded with ``errors="surrogateescape"``, so a byte that is not
         valid UTF-8 is reported where it lies, as "row i, column 'c': not
         valid UTF-8" or "header row: column j is not valid UTF-8".

@@ -8,6 +8,13 @@ samples landing in the half-open box, i.e. with ceil(r_n * K / T) = t_n
 for all n.  The mass grid equals the N-dimensional inclusion-exclusion
 difference of the CDF grid over each unit cell; it is produced here by a
 single binning pass in O(T*N + K^N).
+
+This module owns every lattice rule of the package: the lattice order
+(:func:`_check_lattice`, and :func:`_lattice_order` for the pair
+measures), the cell of a rank (:func:`_cell_indices`), the fixed margins
+m_c that every rank column puts in each cell (:func:`_margins`), and the
+one cell-count kernel, :func:`_joint_counts`, through which both the
+copula grids here and the MI weights of :mod:`coptree.measures` count.
 """
 from __future__ import annotations
 
@@ -81,21 +88,45 @@ def _check_lattice(order, dim: int, lowest: int, sample_count: int) -> int:
     return order
 
 
+def _lattice_order(order, t: int) -> int:
+    """The lattice order K that a pair measure's ``order`` asks for at T
+    samples: 0 picks ``default_lattice_order(T)``; anything else is a pair
+    lattice order, checked by :func:`_check_lattice` to lie in [2, T]."""
+    order = _integer(order, "lattice order", 0)
+    return _check_lattice(order, 2, 2, t) if order else default_lattice_order(t)
+
+
 def _cell_indices(ranks: np.ndarray, order: int) -> np.ndarray:
     """0-based order-K cell index ceil(r*K/T) - 1 of every entry of a T x N
     rank array, in exact integer arithmetic."""
     return -((-ranks * order) // ranks.shape[0]) - 1
 
 
-def _cell_counts(ranks: np.ndarray, order: int) -> np.ndarray:
-    """Integer sample counts of the order-K lattice cells, shape (K,)*N.
+def _margins(t: int, order: int) -> np.ndarray:
+    """The sample count m_c = floor((c+1)T/K) - floor(cT/K) of lattice
+    cell c, the same in every rank column of length T."""
+    return np.diff(np.arange(order + 1) * t // order)
 
-    ``ranks`` is a T x N array whose columns are permutations of 1..T.
+
+def _joint_counts(flat: np.ndarray, size: int) -> np.ndarray:
+    """How often each value in [0, size) occurs in each row of a G x T
+    integer array, shape (G, size).
+
+    Row g is shifted by g * size so that the G count vectors lie side by
+    side in one ``np.bincount``.  The shift is added to ``flat`` in place,
+    so pass a temporary.
     """
-    n = ranks.shape[1]
-    cells = _cell_indices(ranks, order)
-    flat = np.ravel_multi_index(tuple(cells.T), (order,) * n)
-    return np.bincount(flat, minlength=order**n).reshape((order,) * n)
+    flat += size * np.arange(len(flat))[:, np.newaxis]
+    return np.bincount(flat.ravel(), minlength=len(flat) * size).reshape(-1, size)
+
+
+def _cell_counts(ranks: RankMatrix, order) -> tuple[int, np.ndarray]:
+    """The checked lattice order K and the integer sample counts of the
+    order-K lattice cells, shape (K,)*N."""
+    order = _check_lattice(order, ranks.dim, 1, ranks.sample_count)
+    shape = (order,) * ranks.dim
+    flat = np.ravel_multi_index(tuple(_cell_indices(ranks.ranks, order).T), shape)
+    return order, _joint_counts(flat[np.newaxis], order**ranks.dim).reshape(shape)
 
 
 def empirical_copula(ranks: RankMatrix, u) -> float:
@@ -133,12 +164,12 @@ def copula_cdf_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
     bin-and-accumulate pass over the samples, not by K^N evaluations.
     """
     t, n = ranks.sample_count, ranks.dim
-    order = _check_lattice(order, n, 1, t)
+    order, counts = _cell_counts(ranks, order)
     # a leading zero per axis grounds the grid before the running sums
-    counts = np.pad(_cell_counts(ranks.ranks, order), [(1, 0)] * n)
+    counts = np.pad(counts, [(1, 0)] * n)
     for axis in range(n):
         np.cumsum(counts, axis=axis, out=counts)
-    return CopulaGrid(order=order, dim=n, kind="cdf", values=counts / t)
+    return CopulaGrid(order, n, "cdf", counts / t)
 
 
 def copula_mass_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
@@ -149,7 +180,5 @@ def copula_mass_grid(ranks: RankMatrix, order: int) -> CopulaGrid:
     N-dimensional difference of the CDF grid over that cell.  All cells
     are nonnegative and sum to 1.
     """
-    t, n = ranks.sample_count, ranks.dim
-    order = _check_lattice(order, n, 1, t)
-    counts = _cell_counts(ranks.ranks, order)
-    return CopulaGrid(order=order, dim=n, kind="mass", values=counts / t)
+    order, counts = _cell_counts(ranks, order)
+    return CopulaGrid(order, ranks.dim, "mass", counts / ranks.sample_count)

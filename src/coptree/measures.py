@@ -5,11 +5,11 @@ T; the double sum over the lattice telescopes to an O(T) expression in the
 rank products, so no grid is materialized.  Mutual information ("mi_cell")
 is the plug-in KL divergence of the order-K lattice cell masses from the
 product of their margins.  Every rank column puts the same m_c samples in
-lattice cell c, fixed by (T, K) (see :func:`_margins`), so those margins
-are one vector.  "mi_kde" is the mean log copula-cell density at the
-samples, an estimate of copula entropy (Ma & Sun, 2008), which is
-"mi_cell" plus the (T, K) constant 2 * sum_c (m_c/T) ln(K m_c/T), twice
-the KL divergence of the margins from uniform; it is scored that way.
+lattice cell c, fixed by (T, K), so those margins are one vector.
+"mi_kde" is the mean log copula-cell density at the samples, an estimate
+of copula entropy (Ma & Sun, 2008), which is "mi_cell" plus the (T, K)
+constant 2 * sum_c (m_c/T) ln(K m_c/T), twice the KL divergence of the
+margins from uniform; it is scored that way.
 All three depend on ranks only.
 :func:`_scores` is the one map from a measure name to its kernel, and
 every entry point scores through it: :func:`weight_matrix` on the whole
@@ -24,6 +24,12 @@ ratio to its margins is one division of two integer products, exact in
 float64 while T^2 <= 2^53, so an exactly independent grid scores exactly
 0.  A pair's score does not depend on the other columns scored with it.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
+
+The lattice rules live in :mod:`coptree.empirical`: this module takes
+the lattice order (``_lattice_order``), the cell rule (``_cell_indices``),
+the margins (``_margins``) and the cell counts (``_joint_counts``, the
+kernel that also counts the copula grids) from there, and only scores
+the counts it is given.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, _check_permutations, _integer, _unique_names, column_ranks
-from .empirical import _cell_indices, _check_lattice, default_lattice_order
+from .empirical import _cell_indices, _joint_counts, _lattice_order, _margins
 
 __all__ = [
     "MEASURES",
@@ -70,15 +76,6 @@ def _rank_pair(rank_x, rank_y) -> np.ndarray:
     if pair[0].shape != pair[1].shape:
         raise ValueError(f"length mismatch: {pair[0].shape[0]} vs {pair[1].shape[0]}")
     return _check_permutations(np.column_stack(pair), ("rank_x", "rank_y"))
-
-
-def _lattice_order(order, t: int) -> int:
-    """The lattice order K that ``order`` asks for at T samples: 0 picks
-    ``default_lattice_order(T)``; anything else is a pair lattice order,
-    checked by ``empirical._check_lattice`` to lie in [2, T]."""
-    if _integer(order, "lattice order", 0) == 0:
-        return default_lattice_order(t)
-    return _check_lattice(order, 2, 2, t)
 
 
 def _rho_matrix(ranks: np.ndarray) -> np.ndarray:
@@ -224,12 +221,6 @@ def mutual_info_kde(rank_x, rank_y, lattice_order: int) -> float:
     return _pair_score(rank_x, rank_y, "mi_kde", lattice_order)
 
 
-def _margins(t: int, order: int) -> np.ndarray:
-    """The sample count m_c = floor((c+1)T/K) - floor(cT/K) of lattice
-    cell c, the same in every rank column of length T."""
-    return np.diff(np.arange(order + 1) * t // order)
-
-
 def _scores(ranks: np.ndarray, measure: str, order: int) -> np.ndarray:
     """Signed N x N weights of every column pair of a T x N rank array,
     zero diagonal: the one map from a measure name to its kernel."""
@@ -255,15 +246,14 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     """Symmetric N x N lattice MI ("mi_cell") of every column pair of a
     T x N rank array, zero diagonal.
 
-    Each pair's K x K cell counts come from one ``np.bincount`` per column
-    i over the columns j > i, taken in blocks of at most
-    ``_MAX_BLOCK_CELLS`` elements: block column j adds the pair's cell
-    index cell_i * K + cell_j to a (j - lo) * K^2 offset, so the pairs'
-    grids lie side by side in one count vector.  Reshaped to
+    Each pair's K x K cell counts come from one
+    ``empirical._joint_counts`` call per column i over the columns j > i,
+    taken in blocks of at most ``_MAX_BLOCK_CELLS`` elements: block row j
+    holds the pair's cell index cell_i * K + cell_j.  Reshaped to
     (pairs, K, K), the integer counts n_ij give every cell's ratio to its
     margins in one division, n_ij T / (m_i m_j), with m from
-    :func:`_margins`: every rank column has those margins, so every pair
-    does.  Both integer products are at most T^2, so while T^2 <= 2^53
+    ``empirical._margins``: every rank column has those margins, so every
+    pair does.  Both integer products are at most T^2, so while T^2 <= 2^53
     they are exact in float64 and the ratio is correctly rounded; an
     exactly independent grid has every ratio exactly 1 and an MI of
     exactly 0.0.  Empty cells take the ratio 1, so they add 0, and each
@@ -277,16 +267,12 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     den = np.outer(margin, margin)
     values = np.zeros((n, n))
     for i in range(n - 1):
-        row = cells[i] * order
         for lo in range(i + 1, n, width):
-            hi = min(lo + width, n)
-            flat = cells[lo:hi] + row
-            flat += np.arange(0, (hi - lo) * area, area)[:, np.newaxis]
-            counts = np.bincount(flat.ravel(), minlength=(hi - lo) * area)
-            counts = counts.reshape(-1, order, order)
+            flat = cells[lo : lo + width] + cells[i] * order
+            counts = _joint_counts(flat, area).reshape(-1, order, order)
             ratio = np.divide(counts * t, den, out=np.ones(counts.shape), where=counts > 0)
-            values[i, lo:hi] = (counts * np.log(ratio)).sum(axis=(1, 2)) / t
-            values[lo:hi, i] = values[i, lo:hi]
+            values[i, lo : lo + width] = (counts * np.log(ratio)).sum(axis=(1, 2)) / t
+            values[lo : lo + width, i] = values[i, lo : lo + width]
     return values
 
 
@@ -310,6 +296,7 @@ class WeightMatrix:
         n = len(names)
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
+        object.__setattr__(self, "lattice_order", _integer(self.lattice_order, "lattice order", 2))
         signed = np.asarray(self.signed, dtype=float)
         if signed.shape != (n, n):
             raise ValueError(f"weight matrix must have shape {(n, n)}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, _unique_names
-from .measures import WeightMatrix, weight_matrix
+from .dataset import Dataset, _integer, _unique_names
+from .measures import MEASURES, WeightMatrix, weight_matrix
 
 __all__ = [
     "TreeEdge",
@@ -57,6 +57,9 @@ class DependenceTree:
 
     def __post_init__(self):
         nodes = _unique_names(self.nodes, "node")
+        if self.measure not in MEASURES:
+            raise ValueError(f"unknown measure {self.measure!r}")
+        object.__setattr__(self, "lattice_order", _integer(self.lattice_order, "lattice order", 2))
         edges = tuple(self.edges)
         if len(edges) != len(nodes) - 1:
             raise ValueError(

@@ -176,6 +176,30 @@ class TestMassGrid:
         assert checked > 50
 
 
+class TestJointCounts:
+    """``_joint_counts`` is the one cell-count kernel of the package."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [1, 2, 7, 25])
+    @pytest.mark.parametrize("samples", [1, 3, 50])
+    def test_matches_per_row_bincount(self, rows, size, samples):
+        rng = np.random.default_rng(rows * 1000 + size * 10 + samples)
+        flat = rng.integers(0, size, size=(rows, samples))
+        expected = np.stack([np.bincount(row, minlength=size) for row in flat])
+        counts = empirical._joint_counts(flat.copy(), size)
+        assert counts.shape == (rows, size)
+        assert np.array_equal(counts, expected)
+
+    def test_lattice_rules_are_shared(self):
+        # the MI measures and the CLI resolve lattice orders and margins
+        # with the same functions as the grids
+        from coptree import cli, measures
+
+        for name in ("_lattice_order", "_margins", "_cell_indices", "_joint_counts"):
+            assert getattr(measures, name) is getattr(empirical, name)
+        assert cli._lattice_order is empirical._lattice_order
+
+
 class TestGridProperties:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_axioms_on_random_ranks(self, dim):

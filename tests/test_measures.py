@@ -12,8 +12,10 @@ from coptree import (
     MEASURES,
     Dataset,
     KernelDensity,
+    RankMatrix,
     WeightMatrix,
     column_ranks,
+    copula_mass_grid,
     default_lattice_order,
     load_synthetic_spec,
     generate_synthetic,
@@ -342,6 +344,16 @@ class TestWeightMatrix:
         with pytest.raises(ValueError, match=r"^duplicate variable name\(s\): a$"):
             WeightMatrix(("a", "a", "b"), measure, 2, np.zeros((3, 3)))
 
+    # every measure records a lattice order K >= 2, rho_abs included
+    @pytest.mark.parametrize("order", [-7, 0, 1, True, 2.0, "3", None])
+    def test_lattice_order_must_be_an_integer_of_at_least_2(self, order):
+        with pytest.raises(ValueError, match="^lattice order must be"):
+            WeightMatrix(("a", "b", "c"), "rho_abs", order, np.zeros((3, 3)))
+
+    def test_numpy_lattice_order_stored_as_int(self):
+        w = WeightMatrix(("a", "b"), "mi_cell", np.int64(5), np.zeros((2, 2)))
+        assert type(w.lattice_order) is int and w.lattice_order == 5
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         weights = np.array([[0.0, bad], [bad, 0.0]])
@@ -436,6 +448,39 @@ class TestBulkMiWeights:
         for w in (cell, kde):
             assert np.array_equal(w.values, w.values.T)
             assert np.array_equal(w.values, w.signed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_scores_the_counts_of_the_pair_mass_grid(self, data):
+        # _mi_weights and copula_mass_grid count every pair's cells through
+        # the one kernel, so the integer grid that MI scores is the mass
+        # grid of the pair's two rank columns, times T
+        t = data.draw(st.integers(2, 60), label="T")
+        n = data.draw(st.integers(2, 5), label="N")
+        order = data.draw(st.integers(2, t), label="K")
+        levels = data.draw(st.integers(1, 6), label="levels")
+        budget = data.draw(st.sampled_from([1, t, 2**20]), label="block budget")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        ranks = column_ranks(rng.integers(0, levels, size=(t, n)).astype(float), "random", 0)
+        scored = []
+
+        def recording(flat, size):
+            scored.append(empirical._joint_counts(flat, size))
+            return scored[-1]
+
+        with mock.patch.object(measures, "_joint_counts", recording), \
+                mock.patch.object(measures, "_MAX_BLOCK_CELLS", budget):
+            measures._mi_weights(ranks, order)
+        # blocks run over i, then over j > i in rising order
+        rows = np.concatenate(scored)
+        pairs = list(itertools.combinations(range(n), 2))
+        assert rows.shape == (len(pairs), order * order)
+        for (i, j), row in zip(pairs, rows):
+            pair = RankMatrix(ranks[:, [i, j]])
+            k, counts = empirical._cell_counts(pair, order)
+            assert k == order
+            assert np.array_equal(row.reshape(order, order), counts)
+            assert np.array_equal(copula_mass_grid(pair, order).values, counts / t)
 
     @pytest.mark.parametrize("order, per_cell", [(5, 4), (12, 1)])
     def test_exactly_independent_grid_scores_zero(self, order, per_cell):

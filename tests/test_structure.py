@@ -175,6 +175,21 @@ class TestDependenceTreeType:
             )
 
 
+    def test_unknown_measure_rejected(self):
+        with pytest.raises(ValueError, match="^unknown measure 'bogus'$"):
+            DependenceTree(("a", "b"), (TreeEdge("a", "b", 0.5),), "bogus", 2)
+
+    # every measure records a lattice order K >= 2, rho_abs included
+    @pytest.mark.parametrize("order", [-7, 0, 1, True, 2.0, "x", None])
+    def test_lattice_order_must_be_an_integer_of_at_least_2(self, order):
+        with pytest.raises(ValueError, match="^lattice order must be"):
+            DependenceTree(("a", "b"), (TreeEdge("a", "b", 0.5),), "rho_abs", order)
+
+    def test_numpy_lattice_order_stored_as_int(self):
+        tree = DependenceTree(("a", "b"), (TreeEdge("a", "b", 0.5),), "mi_cell", np.int64(4))
+        assert type(tree.lattice_order) is int and tree.lattice_order == 4
+
+
 class TestCoverageRatio:
     def test_two_nodes_cover_everything(self):
         w = matrix_of("ab", {(0, 1): 0.7})
