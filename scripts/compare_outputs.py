@@ -59,7 +59,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 HOUSING = ROOT / "data" / "housing.csv"
 SPEC = ROOT / "data" / "synthetic_spec.json"
-MEASURES = ("rho", "mi-cell", "mi-kde")
+MEASURES = ("rho", "mi-cell")
 PAIRS = ("rm,medv", "crim,tax", "chas,nox")
 BAD_LEARN_FLAGS = (
     ("--tie-seed", "-1"), ("--lattice-order", "1"), ("--lattice-order", "20000"),

@@ -14,13 +14,12 @@ CDF or quantile (``PairCopula.density``, ``MarginSpec.quantile`` and
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, _integer
+from .dataset import Dataset, _integer, _real
 
 __all__ = [
     "PairCopula",
@@ -57,11 +56,6 @@ def _list(value, field: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a list, got {value!r}")
     return value
-
-
-def _real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _json_integer(value):

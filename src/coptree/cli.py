@@ -1,6 +1,8 @@
 """Command-line interface: learn, synth, and measure subcommands.
 
-Exit codes: 0 success, 1 validation or I/O error, 2 internal invariant
+Exit codes: 0 success, 1 validation or I/O error, 2 a command-line usage
+error (argparse's: an unknown command or ``--measure`` choice, a missing
+required flag, a flag value of the wrong type) or an internal invariant
 violation.  All randomness flows from the --seed / --tie-seed flags.
 """
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .structure import DependenceTree, learn_structure
 
 __all__ = ["main", "build_parser", "tree_as_dict", "tree_as_dot"]
 
-_MEASURE_FLAGS = {"rho": "rho_abs", "mi-cell": "mi_cell", "mi-kde": "mi_kde"}
+_MEASURE_FLAGS = {"rho": "rho_abs", "mi-cell": "mi_cell"}
 
 
 def _add_scoring_flags(parser: argparse.ArgumentParser, default_measure: str) -> None:

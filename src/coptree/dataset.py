@@ -8,6 +8,7 @@ of ``1..T``.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import re
 import warnings
@@ -42,6 +43,11 @@ def _integer(value, name: str, lowest: int, highest: int | None = None) -> int:
         bound = f">= {lowest}" if highest is None else f"in [{lowest}, {highest}]"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _unique_names(names, kind: str) -> tuple:
@@ -124,8 +130,8 @@ class RankMatrix:
 
     def __post_init__(self):
         ranks = np.asarray(self.ranks)
-        if ranks.ndim != 2:
-            raise ValueError(f"ranks must be 2-D, got shape {ranks.shape}")
+        if ranks.ndim != 2 or 0 in ranks.shape:
+            raise ValueError(f"ranks must be 2-D and non-empty, got shape {ranks.shape}")
         names = [f"column {j}" for j in range(ranks.shape[1])]
         object.__setattr__(self, "ranks", _check_permutations(ranks, names))
 

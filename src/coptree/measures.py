@@ -9,7 +9,11 @@ lattice cell c, fixed by (T, K), so those margins are one vector.
 "mi_kde" is the mean log copula-cell density at the samples, an estimate
 of copula entropy (Ma & Sun, 2008), which is "mi_cell" plus the (T, K)
 constant 2 * sum_c (m_c/T) ln(K m_c/T), twice the KL divergence of the
-margins from uniform; it is scored that way.
+margins from uniform; it is scored that way.  Adding one constant to
+every pair leaves the spanning tree as it is, so "mi_kde" always spans
+the "mi_cell" tree.  It has no single-pair function and no CLI choice,
+and stays a :func:`weight_matrix` measure only until the benchmark's
+``kde-mid`` workload, which runs it, is replaced (ROADMAP item 1).
 All three depend on ranks only.
 :func:`_scores` is the one map from a measure name to its kernel, and
 every entry point scores through it: :func:`weight_matrix` on the whole
@@ -46,7 +50,6 @@ __all__ = [
     "KernelDensity",
     "spearman_rho",
     "mutual_info_cell",
-    "mutual_info_kde",
     "weight_matrix",
 ]
 
@@ -200,25 +203,6 @@ class KernelDensity:
             z = (block - self.samples[np.newaxis, :]) / h
             out[start : start + step] = norm * np.exp(-0.5 * z * z).sum(axis=1)
         return float(out[0]) if scalar else out
-
-
-def mutual_info_kde(rank_x, rank_y, lattice_order: int) -> float:
-    """Mean log copula-cell density (nats) of a rank pair at order K.
-
-    The sample mean of ln(c_t), with c_t the copula cell density (cell
-    mass times K^2) at sample t, that is sum_ij m_ij * ln(m_ij * K^2) over
-    the occupied cells of the order-K mass grid: an estimate of the
-    copula-entropy integral ``int c ln c du``, which equals the mutual
-    information.  It is not a separate estimator: every rank column puts
-    the same m_c samples in lattice cell c, so it is
-    :func:`mutual_info_cell` plus one constant per (T, K),
-    2 * sum_c (m_c/T) ln(K m_c/T), twice the KL divergence of the lattice
-    margins from uniform, and it is computed as that sum.  The constant is
-    exactly 0, and the two agree bit for bit, when K divides T.  The tag
-    is historical: no kernel density is fitted.  ``lattice_order`` 0 picks
-    ``default_lattice_order(T)``, as in :func:`weight_matrix`.
-    """
-    return _pair_score(rank_x, rank_y, "mi_kde", lattice_order)
 
 
 def _scores(ranks: np.ndarray, measure: str, order: int) -> np.ndarray:

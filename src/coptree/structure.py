@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, _integer, _unique_names
+from .dataset import Dataset, _integer, _real, _unique_names
 from .measures import MEASURES, WeightMatrix, weight_matrix
 
 __all__ = [
@@ -34,7 +34,8 @@ __all__ = [
 class TreeEdge:
     """Undirected weighted tree edge.  ``signed_value`` is the pair's
     score (the signed rho for rho_abs, the MI otherwise); ``weight`` is
-    derived as ``abs(signed_value)``, the spanning weight."""
+    derived as ``abs(signed_value)``, the spanning weight.  A
+    ``signed_value`` that is not a finite real number raises ValueError."""
 
     u: str
     v: str
@@ -42,12 +43,18 @@ class TreeEdge:
     weight: float = field(init=False)
 
     def __post_init__(self):
+        if not (_real(self.signed_value) and -np.inf < self.signed_value < np.inf):
+            raise ValueError(f"edge ({self.u}, {self.v}) signed value must be a finite "
+                             f"number, got {self.signed_value!r}")
         object.__setattr__(self, "weight", abs(self.signed_value))
 
 
 @dataclass(frozen=True)
 class DependenceTree:
-    """A spanning tree of the variables: N nodes, N-1 weighted edges."""
+    """A spanning tree of the variables: N nodes, N-1 weighted edges.
+
+    ``coverage_ratio`` is None or a number in (0, 1].
+    """
 
     nodes: tuple[str, ...]
     edges: tuple[TreeEdge, ...]
@@ -60,6 +67,9 @@ class DependenceTree:
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         object.__setattr__(self, "lattice_order", _integer(self.lattice_order, "lattice order", 2))
+        ratio = self.coverage_ratio
+        if ratio is not None and not (_real(ratio) and 0.0 < ratio <= 1.0):
+            raise ValueError(f"coverage ratio must be None or in (0, 1], got {ratio!r}")
         edges = tuple(self.edges)
         if len(edges) != len(nodes) - 1:
             raise ValueError(
@@ -155,7 +165,10 @@ def coverage_ratio(tree: DependenceTree, w: WeightMatrix) -> float:
 
     Lies in (0, 1]; a value near 1 means the tree alone captures most of
     the pairwise dependence mass.  When every weight is 0 the tree holds
-    all of it, so the ratio is 1.0.
+    all of it, so the ratio is 1.0.  The tree's sum is added in join
+    order and the total in another, so a tree that holds every nonzero
+    weight can come out a rounding step above 1; the ratio is capped at
+    1.0, which leaves every ratio below it as it is.
     """
     if tree.nodes != w.names:
         raise ValueError("tree nodes do not match the weight matrix")
@@ -170,7 +183,7 @@ def coverage_ratio(tree: DependenceTree, w: WeightMatrix) -> float:
             )
         tree_sum += edge.weight
     total = float(w.values[np.triu_indices(w.dim, 1)].sum())
-    return tree_sum / total if total > 0.0 else 1.0
+    return min(tree_sum / total, 1.0) if total > 0.0 else 1.0
 
 
 def learn_structure(

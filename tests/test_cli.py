@@ -31,7 +31,7 @@ TREE_SCHEMA = {
                 },
             },
         },
-        "measure": {"type": "string", "enum": ["rho_abs", "mi_cell", "mi_kde"]},
+        "measure": {"type": "string", "enum": ["rho_abs", "mi_cell"]},
         "lattice_order": {"type": "integer", "minimum": 2},
         "coverage_ratio": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
     },
@@ -188,7 +188,7 @@ class TestLearn:
         assert main(["learn", "--input", str(toy_csv), "--tie-seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: tie_seed must be >= 0, got -1\n"
 
-    @pytest.mark.parametrize("measure", ["mi-cell", "mi-kde"])
+    @pytest.mark.parametrize("measure", ["mi-cell"])
     def test_balanced_two_factor_design(self, tmp_path, measure):
         # a and b cross 10 levels each with 20 replicates per cell: at the
         # default lattice order K = 10 their grid is exactly independent,
@@ -212,10 +212,10 @@ class TestLearn:
                 (e["u"], e["v"], e["weight"]) for e in payload["edges"]
             ]
 
-    @pytest.mark.parametrize("measure", ["mi-cell", "mi-kde"])
+    @pytest.mark.parametrize("measure", ["mi-cell"])
     def test_constant_column_is_ranked_like_any_other(self, tmp_path, measure):
         # a constant column is one 30-way tie: its ranks are a seeded
-        # random permutation, and both MI measures score it
+        # random permutation, and the MI scores it
         path = tmp_path / "flat.csv"
         rng = np.random.default_rng(33)
         rows = "\n".join(f"{float(v)!r},1.0" for v in rng.standard_normal(30))
@@ -228,7 +228,7 @@ class TestLearn:
         assert [(e["u"], e["v"]) for e in payload["edges"]] == [("a", "b")]
 
 
-    @pytest.mark.parametrize("measure", ["mi-cell", "mi-kde"])
+    @pytest.mark.parametrize("measure", ["mi-cell"])
     def test_exactly_independent_pair_covers_everything(self, tmp_path, measure):
         # a and b cross 10 levels each with 20 replicates per cell: their
         # order-10 grid is exactly independent, so the only weight is 0
@@ -258,6 +258,16 @@ class TestParser:
         out = " ".join(capsys.readouterr().out.split())
         assert "copula grid resolution K (0 = auto, about 20 samples per cell)" in out
         assert "seed for randomized rank tie order (default 0)" in out
+
+    @pytest.mark.parametrize("command", [["learn"], ["measure", "--pair", "a,b"]],
+                             ids=["learn", "measure"])
+    def test_mi_kde_is_not_a_choice(self, command, capsys):
+        # mi_kde spans mi_cell's tree, so the CLI offers mi-cell and rho only;
+        # argparse refuses any other choice as a usage error, exit code 2
+        with pytest.raises(SystemExit) as stop:
+            main([*command, "--input", "x.csv", "--measure", "mi-kde"])
+        assert stop.value.code == 2
+        assert "argument --measure: invalid choice: 'mi-kde'" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -454,12 +464,12 @@ class TestMeasure:
         assert out.startswith("mi_cell(a, b) = ")
         assert "[lattice_order=2]" in out
         assert main(["measure", "--input", str(path), "--pair", "a,b",
-                     "--measure", "mi-kde", "--lattice-order", "5"]) == 0
+                     "--measure", "mi-cell", "--lattice-order", "5"]) == 0
         assert "[lattice_order=5]" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tie_seed", [0, 1])
     @pytest.mark.parametrize("flag, measure", [
-        ("rho", "rho_abs"), ("mi-cell", "mi_cell"), ("mi-kde", "mi_kde")])
+        ("rho", "rho_abs"), ("mi-cell", "mi_cell")])
     def test_prints_learns_matrix_entry(self, flag, measure, tie_seed, housing, capsys):
         # every housing column is tied, so the value depends on ranking the
         # whole table as learn does, whichever way round the pair is given

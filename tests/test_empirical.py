@@ -26,6 +26,22 @@ COUNTERMONOTONE_2 = ranks_of([1, 2], [2, 1])
 EXAMPLE_3 = ranks_of([1, 2, 3], [1, 3, 2])
 
 
+class TestEmptyRanks:
+    """A rank matrix with no column or no row is refused where it is built,
+    before a grid or a copula value divides by T or counts no cells."""
+
+    @pytest.mark.parametrize("grid", [copula_cdf_grid, copula_mass_grid])
+    def test_no_column_refused_before_the_grid(self, grid):
+        with pytest.raises(ValueError,
+                           match=r"^ranks must be 2-D and non-empty, got shape \(3, 0\)$"):
+            grid(RankMatrix(np.ones((3, 0), dtype=np.int64)), 2)
+
+    def test_no_row_refused_before_the_copula_value(self):
+        with pytest.raises(ValueError,
+                           match=r"^ranks must be 2-D and non-empty, got shape \(0, 2\)$"):
+            empirical_copula(RankMatrix(np.empty((0, 2), dtype=np.int64)), [0.5, 0.5])
+
+
 class TestDefaultLatticeOrder:
     @pytest.mark.parametrize(
         "samples,expected",

@@ -20,7 +20,6 @@ from coptree import (
     load_synthetic_spec,
     generate_synthetic,
     mutual_info_cell,
-    mutual_info_kde,
     sample_gaussian_copula,
     spearman_rho,
     weight_matrix,
@@ -193,18 +192,24 @@ class TestKernelDensity:
         assert vector.tolist() == [kd.density(float(x)) for x in points]
 
 
+def mi_kde_pair(rank_x, rank_y, order):
+    """The mi_kde score of two rank columns, scored as weight_matrix scores
+    every pair (mi_kde has no single-pair function)."""
+    return measures._scores(np.column_stack([rank_x, rank_y]), "mi_kde", order)[0, 1]
+
+
 class TestMutualInfoKde:
     def test_comonotone_reaches_log_order(self):
         x = np.random.default_rng(0).standard_normal(1000)
         ranks = column_ranks(np.column_stack([x, x]))
-        value = mutual_info_kde(ranks[:, 0], ranks[:, 1], 31)
+        value = mi_kde_pair(ranks[:, 0], ranks[:, 1], 31)
         assert abs(value - math.log(31)) < 0.15
 
     def test_agrees_with_cell_estimator_under_dependence(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
         uniforms = sample_gaussian_copula(sigma, 2000, seed=3)
         ranks = column_ranks(uniforms)
-        kde_value = mutual_info_kde(ranks[:, 0], ranks[:, 1], 31)
+        kde_value = mi_kde_pair(ranks[:, 0], ranks[:, 1], 31)
         cell_value = mutual_info_cell(ranks[:, 0], ranks[:, 1], 31)
         assert abs(kde_value - cell_value) < 0.1
 
@@ -212,7 +217,7 @@ class TestMutualInfoKde:
         # same plug-in bias as the cell estimator: ~0.5 nats at K=31, T=1000
         rng = np.random.default_rng(1)
         ranks = column_ranks(rng.standard_normal((1000, 2)))
-        value = mutual_info_kde(ranks[:, 0], ranks[:, 1], 31)
+        value = mi_kde_pair(ranks[:, 0], ranks[:, 1], 31)
         assert 0.35 < value < 0.65
 
     @settings(max_examples=60, deadline=None)
@@ -225,7 +230,7 @@ class TestMutualInfoKde:
         # correlated and rounded to 0.1, so ties go through the tie order
         xy = np.round(rng.standard_normal((t, 2)) @ [[1.0, 0.6], [0.0, 0.8]], 1)
         ranks = column_ranks(xy, "random", 0)
-        value = mutual_info_kde(ranks[:, 0], ranks[:, 1], order)
+        value = mi_kde_pair(ranks[:, 0], ranks[:, 1], order)
         assert abs(value - uniform_margin_mi(ranks, order)) <= 1e-12
         if t % order == 0:
             cell = mutual_info_cell(ranks[:, 0], ranks[:, 1], order)
@@ -253,14 +258,6 @@ class TestMutualInfoKde:
             gap = 2.0 * np.sum(margin * np.log(order * margin))
             off_diagonal = ~np.eye(n, dtype=bool)
             assert np.abs(kde - cell - gap)[off_diagonal].max() <= 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            mutual_info_kde([1, 1], [1, 2], 2)
-        with pytest.raises(ValueError, match="length mismatch"):
-            mutual_info_kde([1, 2, 3], [1, 2], 2)
-        with pytest.raises(ValueError, match="at least 2"):
-            mutual_info_kde([1], [1], 2)
 
 
 class TestWeightMatrix:
@@ -386,7 +383,7 @@ def _score_with_order(function, order):
     return getattr(measures, function)(ranks[:, 0], ranks[:, 1], order)
 
 
-@pytest.mark.parametrize("function", ["weight_matrix", "mutual_info_cell", "mutual_info_kde"])
+@pytest.mark.parametrize("function", ["weight_matrix", "mutual_info_cell"])
 class TestLatticeOrder:
     """Every measure entry resolves its lattice order the same way."""
 
@@ -489,7 +486,7 @@ class TestBulkMiWeights:
         for measure in ("mi_cell", "mi_kde"):
             assert weight_matrix(table, measure, order).values[0, 1] == 0.0
         assert mutual_info_cell(rank_x, rank_y, order) == 0.0
-        assert mutual_info_kde(rank_x, rank_y, order) == 0.0
+        assert mi_kde_pair(rank_x, rank_y, order) == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -540,7 +537,7 @@ class TestBulkMiWeights:
     def _per_pair(ranks, measure, order):
         n = ranks.shape[1]
         expected = np.zeros((n, n))
-        pair_mi = mutual_info_cell if measure == "mi_cell" else mutual_info_kde
+        pair_mi = mutual_info_cell if measure == "mi_cell" else mi_kde_pair
         for i, j in itertools.combinations(range(n), 2):
             expected[i, j] = expected[j, i] = pair_mi(ranks[:, i], ranks[:, j], order)
         return expected

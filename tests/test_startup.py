@@ -37,7 +37,7 @@ assert cli.main(["learn", "--input", {str(HOUSING)!r}, "--json", "tree.json",
                  "--dot", "tree.dot"]) == 0
 assert cli.main(["learn", "--input", {str(HOUSING)!r}, "--measure", "rho",
                  "--json", "rho.json"]) == 0
-for measure in ("rho", "mi-cell", "mi-kde"):
+for measure in ("rho", "mi-cell"):
     assert cli.main(["measure", "--input", {str(HOUSING)!r}, "--pair", "medv,lstat",
                      "--measure", measure]) == 0
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))

@@ -189,6 +189,28 @@ class TestDependenceTreeType:
         tree = DependenceTree(("a", "b"), (TreeEdge("a", "b", 0.5),), "mi_cell", np.int64(4))
         assert type(tree.lattice_order) is int and tree.lattice_order == 4
 
+    # json.dumps would write NaN or Infinity, which is not JSON
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "x", None, True])
+    def test_edge_value_must_be_a_finite_number(self, value):
+        with pytest.raises(ValueError,
+                           match=r"^edge \(a, b\) signed value must be a finite number, got "):
+            TreeEdge("a", "b", value)
+
+    @pytest.mark.parametrize("value", [-0.5, np.float64(-0.5), 0, 3])
+    def test_edge_weight_is_the_absolute_value(self, value):
+        assert TreeEdge("a", "b", value).weight == abs(value)
+
+    @pytest.mark.parametrize("ratio", [7.5, 1.0000000000000002, 0.0, -0.1, np.nan, np.inf,
+                                       "0.5", True])
+    def test_coverage_ratio_must_lie_in_the_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match=r"^coverage ratio must be None or in \(0, 1\], got "):
+            DependenceTree(("a", "b"), (TreeEdge("a", "b", 0.5),), "mi_cell", 2, ratio)
+
+    @pytest.mark.parametrize("ratio", [None, 5e-324, 0.5, 1.0, np.float64(1.0), 1])
+    def test_coverage_ratio_accepted(self, ratio):
+        tree = DependenceTree(("a", "b"), (TreeEdge("a", "b", 0.5),), "mi_cell", 2, ratio)
+        assert tree.coverage_ratio is ratio
+
 
 class TestCoverageRatio:
     def test_two_nodes_cover_everything(self):
@@ -214,6 +236,30 @@ class TestCoverageRatio:
         w = matrix_of("abc", {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0})
         tree = maximum_spanning_tree(w)
         assert coverage_ratio(tree, w) == 1.0
+
+    def test_never_exceeds_one(self):
+        # the tree's sum is added in join order, 1.1 + 0.1 + 0.1 =
+        # 1.3000000000000003, the total by np.sum, 1.3: capped at 1.0
+        w = matrix_of("abcd", {(0, 1): 0.1, (1, 2): 0.1, (2, 3): 1.1})
+        assert coverage_ratio(maximum_spanning_tree(w), w) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tree_holding_every_weight_stays_in_the_unit_interval(self, data):
+        # node k > 0 hangs from a parent below it with a positive weight,
+        # and every other weight is 0, so the tree holds all of the weight
+        n = data.draw(st.integers(2, 12), label="N")
+        entries = {
+            (data.draw(st.integers(0, k - 1), label="parent"), k):
+                data.draw(st.floats(1e-3, 1e3), label="weight")
+            for k in range(1, n)
+        }
+        names = [f"v{k:02d}" for k in range(n)]
+        w = matrix_of(names, entries)
+        tree = maximum_spanning_tree(w)
+        assert tree.edge_pairs() == {(names[i], names[j]) for i, j in entries}
+        ratio = coverage_ratio(tree, w)
+        assert 1.0 - 1e-12 < ratio <= 1.0
 
     def test_mismatched_weights_rejected(self):
         w = matrix_of("abc", {(0, 1): 0.9, (0, 2): 0.5, (1, 2): 0.1})
