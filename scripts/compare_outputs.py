@@ -18,6 +18,9 @@ copies of the package then run the same cases in fresh interpreters:
   which columns draw a random tie order);
 - ``coptree learn`` (each measure) on a 300 x 4 table whose header quotes
   one name that spans two lines, generated into the temporary directory;
+- ``coptree learn`` (each measure) on a 200 x 5 table that opens with a
+  blank line and a whitespace-only line before its header, generated
+  into the temporary directory;
 - ``coptree measure`` stdout for three column pairs and each measure;
 - ``coptree synth`` on data/synthetic_spec.json, with and without
   ``--seed 7``: stdout and the output CSV;
@@ -161,6 +164,15 @@ def _write_quoted_header_table(path: Path) -> None:
                header='"q0\nsecond line",q1,q2,q3')
 
 
+def _write_leading_blank_table(path: Path) -> None:
+    """A dependent 200 x 5 CSV with a blank and a whitespace-only line
+    before its header."""
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((200, 5)) @ np.triu(rng.standard_normal((5, 5)))
+    np.savetxt(path, values, fmt="%.17g", delimiter=",", comments="",
+               header="\n \t\n" + ",".join(f"b{j}" for j in range(5)))
+
+
 def collect(src: Path, work: Path) -> dict[str, bytes]:
     """Output bytes of every case, keyed by case name, for the package in src."""
     work.mkdir()
@@ -181,6 +193,12 @@ def collect(src: Path, work: Path) -> dict[str, bytes]:
     for measure in MEASURES:
         outputs.update(_learn(src, work, f"learn {measure} quoted header", [
             "--input", str(quoted), "--measure", measure,
+        ]))
+    leading = work / "leading-blank.csv"
+    _write_leading_blank_table(leading)
+    for measure in MEASURES:
+        outputs.update(_learn(src, work, f"learn {measure} leading blank lines", [
+            "--input", str(leading), "--measure", measure,
         ]))
     for pair in PAIRS:
         for measure in MEASURES:

@@ -297,15 +297,12 @@ def block_correlation(spec: SyntheticSpec) -> np.ndarray:
     Within a gaussian block every variable pair gets correlation theta;
     blocks are mutually independent.
     """
-    sigma = np.eye(spec.dim)
+    sigma = np.zeros((spec.dim, spec.dim))
     for block in spec.blocks:
-        if block.family != "gaussian":
-            continue
-        idx = [v - 1 for v in block.variables]
-        for a in idx:
-            for b in idx:
-                if a != b:
-                    sigma[a, b] = block.theta
+        if block.family == "gaussian":
+            idx = [v - 1 for v in block.variables]
+            sigma[np.ix_(idx, idx)] = block.theta
+    np.fill_diagonal(sigma, 1.0)
     return sigma
 
 

@@ -1,9 +1,10 @@
 """Numeric sample ingestion and rank transformation.
 
 Every estimator in this package consumes per-column ranks, so this module
-owns the two gateway steps: validating a raw table into a :class:`Dataset`
-and turning it into a :class:`RankMatrix` whose columns are permutations
-of ``1..T``.
+owns the two gateway steps: validating a raw table into a :class:`Dataset`,
+and ranks.  :func:`column_ranks` is where ranks are made, each column a
+permutation of ``1..T`` by construction; :class:`RankMatrix` is where
+ranks from outside are checked to be such permutations.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ __all__ = [
     "Dataset",
     "RankMatrix",
     "load_dataset",
-    "rank_transform",
     "column_ranks",
 ]
 
@@ -158,7 +158,8 @@ def load_dataset(source) -> Dataset:
         the quotes are removed, so a header name may hold a comma or span
         lines and a quoted cell such as ``"7"`` reads as 7.0; a quote
         anywhere else in a field is kept.  Header names are then stripped
-        of surrounding whitespace.  Blank lines are skipped.  A file
+        of surrounding whitespace.  Blank lines, empty or of whitespace
+        only, are skipped before the header as after it.  A file
         is decoded with ``errors="surrogateescape"``, so a byte that is not
         valid UTF-8 is reported where it lies, as "row i, column 'c': not
         valid UTF-8" or "header row: column j is not valid UTF-8".
@@ -184,7 +185,7 @@ def load_dataset(source) -> Dataset:
     -----
     One csv reader parses the header, of a path or a stream alike.  For a
     path, ``np.loadtxt`` then reads only the body, in chunks, skipping the
-    lines the header spanned.  Whenever it cannot vouch for the result (a
+    lines the header and any blank lines before it spanned.  Whenever it cannot vouch for the result (a
     cell or line it rejects, a field count other than the header's, no data
     rows), the same reader goes on through the body, so a path gives the
     same values and error messages either way.  A stream is read by that
@@ -197,10 +198,16 @@ def load_dataset(source) -> Dataset:
     return _parse_csv(source)
 
 
+def _blank(record) -> bool:
+    """Whether a csv record is a blank line: no field, or one of whitespace."""
+    return not record or (len(record) == 1 and not record[0].strip())
+
+
 def _header(reader) -> tuple[str, ...]:
-    """The stripped column names of the header record of a csv reader."""
+    """The stripped column names of the first record of a csv reader that
+    is not blank (see :func:`_blank`)."""
     try:
-        header = next(reader)
+        header = next(record for record in reader if not _blank(record))
     except StopIteration:
         raise ValueError("empty input: missing header row") from None
     except csv.Error as error:
@@ -220,7 +227,8 @@ def _loadtxt_body(path, skip: int, n: int):
     other than ``n``.  Every cell loadtxt accepts, ``float`` accepts with
     the same bits.  loadtxt ends a line at any of LF, CR and CRLF, as csv
     does on a handle opened with ``newline=""``, so ``skip`` lines are the
-    header's and whatever this returns, the csv reader returns too.
+    header's and those of the blank lines before it, and whatever this
+    returns, the csv reader returns too.
     loadtxt decodes the whole file strictly, so a byte that is not valid
     UTF-8 anywhere raises its UnicodeDecodeError, a ValueError.
     """
@@ -247,8 +255,8 @@ def _parse_csv(handle, path=None) -> Dataset:
     rows = []
     try:
         for record in reader:
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue  # ignore blank lines
+            if _blank(record):
+                continue
             if len(record) == n:
                 try:
                     rows.append([float(cell) for cell in record])
@@ -356,15 +364,3 @@ def column_ranks(
         np.put_along_axis(ranks[:, lo : lo + width].T, order, positions, axis=1)
     return ranks
 
-
-def rank_transform(
-    data: Dataset, tie_break: str = "stable", tie_seed: int = 0
-) -> RankMatrix:
-    """Convert a Dataset to per-column ranks.
-
-    Rank 1 marks the smallest value in each column; ties are broken by
-    ascending row index by default (see :func:`column_ranks` for the
-    randomized alternative).  The output is invariant under any strictly
-    increasing per-column transformation of the data.
-    """
-    return RankMatrix(ranks=column_ranks(data.values, tie_break, tie_seed))

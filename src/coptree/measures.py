@@ -21,8 +21,9 @@ rank matrix, the single-pair functions on their two checked rank columns,
 and ``coptree measure`` on two columns of the ranks ``learn`` uses.
 rho_abs comes from one BLAS product R^T R of the float64 rank matrix
 (while every partial sum is an integer of at most 2^53, so it is exact
-and the same for any BLAS kernel or thread count; an int64 product
-beyond), the MI measures from one cell-counting pass per column and one
+and the same for any BLAS kernel or thread count; an exact int64 product
+beyond, up to T = 3,024,616, and a float64 sum that rounds above that),
+the MI measures from one cell-counting pass per column and one
 array expression over each block of integer cell counts.  Each cell's
 ratio to its margins is one division of two integer products, exact in
 float64 while T^2 <= 2^53, so an exactly independent grid scores exactly
@@ -328,8 +329,9 @@ def weight_matrix(
         columns inherit spurious dependence from shared row ordering.
 
     Every measure is scored by :func:`_scores`: rho_abs takes every
-    pair's rank-product sum from one exact product of the rank matrix
-    with itself (see :func:`_rho_matrix`); the MI measures count the cells
+    pair's rank-product sum from one product of the rank matrix with
+    itself, exact up to T = 3,024,616 and a rounded float64 sum above
+    (see :func:`_rho_matrix`); the MI measures count the cells
     of every pair in one pass per column (see :func:`_mi_weights`).  So
     the single-pair functions, given two of its rank columns in table
     order, return its entries bit for bit.

@@ -19,7 +19,6 @@ from coptree import (
     default_lattice_order,
     generate_synthetic,
     load_dataset,
-    rank_transform,
     sample_gaussian_copula,
 )
 from coptree import dataset
@@ -82,6 +81,26 @@ class TestLoadDataset:
         data = load_dataset(io.StringIO("a,b\n1,2\n\n3,4\n\n"))
         assert data.sample_count == 2
 
+    @pytest.mark.parametrize("lead", ["\n", " \n", "\t\r\n", "\n \n\t\n", "\r\r"])
+    def test_blank_lines_before_the_header(self, lead, tmp_path):
+        text = "a,b\n1,-0.0\n3,4.5\n"
+        path = tmp_path / "t.csv"
+        path.write_bytes((lead + text).encode("utf-8"))
+        assert loadtxt_body(path) is not None  # loadtxt reads the body
+        expected = load_dataset(io.StringIO(text))
+        for source in (path, io.StringIO(lead + text, newline="")):
+            data = load_dataset(source)
+            assert data.columns == expected.columns == ("a", "b")
+            assert data.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n \n\t\n"])
+    def test_only_blank_lines_is_empty_input(self, text, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(ValueError, match=r"^empty input: missing header row$"):
+                load_dataset(source)
+
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "small.csv"
         # utf-8-sig writes the byte-order mark that Excel puts first
@@ -93,7 +112,8 @@ class TestLoadDataset:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_round_trip_and_fault_location(self, data):
-        # a table of repr floats, blank lines anywhere, parses bit-identically
+        # a table of repr floats, blank lines anywhere (before the header
+        # too), parses bit-identically
         t = data.draw(st.integers(2, 8), label="rows")
         n = data.draw(st.integers(2, 5), label="columns")
         finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -103,12 +123,14 @@ class TestLoadDataset:
         names = [f"v{j}" for j in range(n)]
         lines = [",".join(repr(v) for v in row) for row in values]
         blanks = data.draw(st.lists(st.integers(0, t), max_size=4), label="blanks")
+        lead = data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),
+                         label="blank lines before the header")
 
         def render(rows):
             out = list(rows)
             for at in sorted(blanks, reverse=True):
                 out.insert(at, "")
-            return "\n".join([",".join(names)] + out) + "\n"
+            return "\n".join(lead + [",".join(names)] + out) + "\n"
 
         parsed = load_dataset(io.StringIO(render(lines)))
         assert parsed.columns == tuple(names)
@@ -331,16 +353,17 @@ class TestRankTransform:
     def test_sort_order(self):
         data = make_dataset([[3.1, 0], [1.2, 0], [2.7, 0]], names=("a", "b"))
         # second column is all ties; first column carries the example
-        ranks = rank_transform(data)
+        ranks = RankMatrix(column_ranks(data.values))
         assert ranks.ranks[:, 0].tolist() == [3, 1, 2]
 
     def test_stable_ties_use_row_order(self):
         data = make_dataset([[1.0, 9], [1.0, 8], [2.0, 7]])
-        assert rank_transform(data).ranks[:, 0].tolist() == [1, 2, 3]
+        assert RankMatrix(column_ranks(data.values)).ranks[:, 0].tolist() == [1, 2, 3]
 
     def test_reversed_column(self):
         data = make_dataset([[5, 1], [4, 2], [3, 3], [2, 4], [1, 5]])
-        assert rank_transform(data).ranks[:, 0].tolist() == [5, 4, 3, 2, 1]
+        ranks = RankMatrix(column_ranks(data.values))
+        assert ranks.ranks[:, 0].tolist() == [5, 4, 3, 2, 1]
 
     @pytest.mark.parametrize("tie_break", ["stable", "random"])
     def test_columns_are_permutations(self, tie_break):

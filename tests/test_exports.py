@@ -17,3 +17,10 @@ def test_package_exports_exactly_its_modules_exports():
     modules = (algebra, dataset, empirical, measures, structure)
     expected = {name for module in modules for name in module.__all__}
     assert set(coptree.__all__) == expected | {"__version__"}
+
+
+@pytest.mark.parametrize("module", [coptree, dataset], ids=lambda m: m.__name__)
+def test_rank_transform_is_retired(module):
+    # RankMatrix(column_ranks(values, ...)) is the one way to rank a table
+    assert "rank_transform" not in module.__all__
+    assert not hasattr(module, "rank_transform")
