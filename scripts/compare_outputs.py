@@ -31,9 +31,10 @@ copies of the package then run the same cases in fresh interpreters:
   may write, is compared too);
 - ``column_ranks`` (both tie modes) and ``weight_matrix`` ``values`` and
   ``signed`` (each measure) on a tied 50000 x 16 and a tied 500 x 300
-  table, saved with ``np.save`` so dtype and shape are compared too, and
-  the ``maximum_spanning_tree`` edges of each weight matrix in the order
-  they join the tree;
+  table, saved with ``np.save`` so dtype and shape are compared too, the
+  ``maximum_spanning_tree`` edges of each weight matrix in the order
+  they join the tree, and the ``repr`` of ``learn_structure``'s
+  ``coverage_ratio`` on each table for each measure;
 - ``copula_cdf_grid`` and ``copula_mass_grid`` ``values`` of the first 1,
   2 and 3 columns of the tied 500 x 300 table's ranks, under both tie
   modes, at lattice orders 1, 2, 5 and 13, saved with ``np.save``.
@@ -84,7 +85,7 @@ import numpy as np
 
 from coptree import (
     Dataset, RankMatrix, column_ranks, copula_cdf_grid, copula_mass_grid,
-    maximum_spanning_tree, weight_matrix,
+    learn_structure, maximum_spanning_tree, weight_matrix,
 )
 
 out = Path(sys.argv[1])
@@ -104,6 +105,8 @@ for t, n in ((50000, 16), (500, 300)):
         edges = maximum_spanning_tree(w).edges
         (out / f"{tag}-{measure}-tree.txt").write_text("".join(
             f"{e.u} {e.v} {e.weight!r} {e.signed_value!r}\\n" for e in edges))
+        (out / f"{tag}-{measure}-coverage.txt").write_text(
+            repr(learn_structure(table, measure).coverage_ratio))
 # the last table is the tied 500 x 300 one; its column 0 is tied, 1 is not
 for mode, r in ranks.items():
     for dim in (1, 2, 3):

@@ -4,7 +4,10 @@ Every estimator in this package consumes per-column ranks, so this module
 owns the two gateway steps: validating a raw table into a :class:`Dataset`,
 and ranks.  :func:`column_ranks` is where ranks are made, each column a
 permutation of ``1..T`` by construction; :class:`RankMatrix` is where
-ranks from outside are checked to be such permutations.
+ranks from outside are checked to be such permutations.  It also holds
+the one name rule of every named type (:func:`_unique_names`) and the
+builder through which the package makes its own validated types without
+re-checking them (:func:`_unchecked`).
 """
 from __future__ import annotations
 
@@ -51,13 +54,26 @@ def _real(value) -> bool:
 
 
 def _unique_names(names, kind: str) -> tuple:
-    """``names`` as a tuple, once no name is found twice in it.  Raises
-    ValueError naming the repeated ones, as ``kind`` names."""
+    """``names`` as a tuple, once each is a nonempty string and none is
+    found twice.  Raises ValueError for the first rule broken, naming the
+    names as ``kind`` names."""
     names = tuple(names)
+    if any(not isinstance(name, str) or not name for name in names):
+        raise ValueError(f"{kind} names must be nonempty strings")
     if len(set(names)) != len(names):
         dupes = sorted({name for name in names if names.count(name) > 1})
         raise ValueError(f"duplicate {kind} name(s): {', '.join(dupes)}")
     return names
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, every
+    field of it, as given: its ``__post_init__`` checks do not run.  For
+    values the package built valid by construction; a value from outside
+    goes through the public constructor."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -83,8 +99,6 @@ class Dataset:
         columns = tuple(self.columns)
         if len(columns) != n:
             raise ValueError(f"{len(columns)} column names for {n} columns")
-        if any(not isinstance(c, str) or not c for c in columns):
-            raise ValueError("column names must be nonempty strings")
         _unique_names(columns, "column")
         if not np.all(np.isfinite(values)):
             i, j = np.argwhere(~np.isfinite(values))[0]

@@ -28,6 +28,9 @@ array expression over each block of integer cell counts.  Each cell's
 ratio to its margins is one division of two integer products, exact in
 float64 while T^2 <= 2^53, so an exactly independent grid scores exactly
 0.  A pair's score does not depend on the other columns scored with it.
+Those guarantees are why :func:`weight_matrix` builds its
+:class:`WeightMatrix` through ``dataset._unchecked``, without the
+constructor's checks, which stay for matrices from outside.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 
 The lattice rules live in :mod:`coptree.empirical`: this module takes
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, _check_permutations, _integer, _unique_names, column_ranks
+from .dataset import Dataset, _check_permutations, _integer, _unchecked, _unique_names, column_ranks
 from .empirical import _cell_indices, _joint_counts, _lattice_order, _margins
 
 __all__ = [
@@ -267,7 +270,9 @@ class WeightMatrix:
 
     ``signed`` holds the scores (the signed rho for rho_abs, the MI, which
     is >= 0, for the MI measures), zero diagonal; ``values`` is derived as
-    ``np.abs(signed)``, the spanning weights.
+    ``np.abs(signed)``, the spanning weights.  Both arrays are read-only,
+    and ``signed`` is a copy of the array given, so the checks made here
+    hold for the object's lifetime.
     """
 
     names: tuple[str, ...]
@@ -282,7 +287,7 @@ class WeightMatrix:
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         object.__setattr__(self, "lattice_order", _integer(self.lattice_order, "lattice order", 2))
-        signed = np.asarray(self.signed, dtype=float)
+        signed = np.array(self.signed, dtype=float)
         if signed.shape != (n, n):
             raise ValueError(f"weight matrix must have shape {(n, n)}")
         if not np.all(np.isfinite(signed)):
@@ -293,9 +298,12 @@ class WeightMatrix:
             raise ValueError("diagonal entries must be 0")
         if self.measure != "rho_abs" and np.any(signed < 0.0):
             raise ValueError(f"{self.measure} weights must be nonnegative")
+        values = np.abs(signed)
+        for array in (signed, values):
+            array.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "signed", signed)
-        object.__setattr__(self, "values", np.abs(signed))
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:
@@ -337,10 +345,19 @@ def weight_matrix(
     order, return its entries bit for bit.
 
     The result is deterministic for fixed inputs and independent of the
-    order pairs are evaluated in.
+    order pairs are evaluated in.  It is built without the
+    :class:`WeightMatrix` checks, which :func:`_scores` meets by
+    construction: finite weights, exactly symmetric (the rank Gram fills
+    both triangles, ``_mi_weights`` mirrors its rows), a zero diagonal and
+    a nonnegative MI.  Its arrays are read-only; for the MI measures
+    ``values`` is ``signed``, one array.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     lattice_order = _lattice_order(lattice_order, data.sample_count)
     signed = _scores(column_ranks(data.values, "random", tie_seed), measure, lattice_order)
-    return WeightMatrix(data.columns, measure, lattice_order, signed)
+    values = np.abs(signed) if measure == "rho_abs" else signed
+    for array in (signed, values):
+        array.setflags(write=False)
+    return _unchecked(WeightMatrix, names=data.columns, measure=measure,
+                      lattice_order=lattice_order, signed=signed, values=values)

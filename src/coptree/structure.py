@@ -11,14 +11,19 @@ fully deterministic.  Of two equal edges into the same vertex, the one
 whose other end is smaller always has the smaller pair, so a vertex keeps
 the smaller partner; the pairs themselves are compared only when several
 vertices hold the top weight.
+
+The package's own edges and trees are built through ``dataset._unchecked``
+without re-running the :class:`TreeEdge` and :class:`DependenceTree`
+checks, which a valid :class:`WeightMatrix` and Prim meet by construction;
+the public constructors keep every check for trees from outside.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, _integer, _real, _unique_names
+from .dataset import Dataset, _integer, _real, _unchecked, _unique_names
 from .measures import MEASURES, WeightMatrix, weight_matrix
 
 __all__ = [
@@ -116,6 +121,12 @@ def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
     (min index, max index) pair.  With all weights equal this yields the
     star rooted at the first node.  Edges are listed in the order they
     join the tree.
+
+    The edges and the tree are built without the :class:`TreeEdge` and
+    :class:`DependenceTree` checks: a :class:`WeightMatrix` holds finite
+    weights over unique names, and Prim's N-1 picks span the nodes by
+    construction.  An edge's ``weight`` is the ``values`` entry, which has
+    the bits of ``abs(signed_value)``.
     """
     n = w.dim
     if n < 2:
@@ -151,13 +162,11 @@ def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
             u = int(top[key.argmin()])
         v = int(partner[u])
         edges.append((min(u, v), max(u, v)))
-    tree_edges = tuple(TreeEdge(w.names[a], w.names[b], float(w.signed[a, b])) for a, b in edges)
-    return DependenceTree(
-        nodes=w.names,
-        edges=tree_edges,
-        measure=w.measure,
-        lattice_order=w.lattice_order,
-    )
+    tree_edges = tuple(
+        _unchecked(TreeEdge, u=w.names[a], v=w.names[b], signed_value=float(w.signed[a, b]),
+                   weight=float(w.values[a, b])) for a, b in edges)
+    return _unchecked(DependenceTree, nodes=w.names, edges=tree_edges, measure=w.measure,
+                      lattice_order=w.lattice_order, coverage_ratio=None)
 
 
 def coverage_ratio(tree: DependenceTree, w: WeightMatrix) -> float:
@@ -168,10 +177,15 @@ def coverage_ratio(tree: DependenceTree, w: WeightMatrix) -> float:
     all of it, so the ratio is 1.0.  The tree's sum is added in join
     order and the total in another, so a tree that holds every nonzero
     weight can come out a rounding step above 1; the ratio is capped at
-    1.0, which leaves every ratio below it as it is.
+    1.0, which leaves every ratio below it as it is.  A tree and a matrix
+    of another measure or lattice order raise ValueError.
     """
     if tree.nodes != w.names:
         raise ValueError("tree nodes do not match the weight matrix")
+    if (tree.measure, tree.lattice_order) != (w.measure, w.lattice_order):
+        raise ValueError(f"tree of {tree.measure} at lattice order {tree.lattice_order} does "
+                         f"not match the weight matrix of {w.measure} at lattice order "
+                         f"{w.lattice_order}")
     index = {name: i for i, name in enumerate(w.names)}
     tree_sum = 0.0
     for edge in tree.edges:
@@ -182,7 +196,8 @@ def coverage_ratio(tree: DependenceTree, w: WeightMatrix) -> float:
                 f"match the matrix entry {entry}"
             )
         tree_sum += edge.weight
-    total = float(w.values[np.triu_indices(w.dim, 1)].sum())
+    # the pairs above the diagonal in row-major order, the order that fixes the sum's bits
+    total = float(w.values[~np.tri(w.dim, dtype=bool)].sum())
     return min(tree_sum / total, 1.0) if total > 0.0 else 1.0
 
 
@@ -194,11 +209,12 @@ def learn_structure(
 ) -> DependenceTree:
     """End-to-end pipeline: ranks -> weight matrix -> maximum spanning tree.
 
-    Returns the tree with its coverage ratio filled in.  Fully
+    Returns the tree with its coverage ratio filled in, set on a copy of
+    the tree without re-running its checks.  Fully
     deterministic for fixed inputs; exactly invariant under strictly
     increasing per-column transformations of the data for every measure,
     since each depends on the ranks only.
     """
     w = weight_matrix(data, measure, lattice_order, tie_seed)
     tree = maximum_spanning_tree(w)
-    return replace(tree, coverage_ratio=coverage_ratio(tree, w))
+    return _unchecked(DependenceTree, **{**vars(tree), "coverage_ratio": coverage_ratio(tree, w)})

@@ -344,6 +344,15 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="nonempty"):
             make_dataset([[1, 2], [3, 4]], names=("a", ""))
 
+    @pytest.mark.parametrize("names", [(1, 2), ("", "b"), ("a", None), (b"a", "b")])
+    def test_one_name_rule_for_every_named_type(self, names):
+        # Dataset, WeightMatrix and DependenceTree share _unique_names
+        with pytest.raises(ValueError, match="^column names must be nonempty strings$"):
+            make_dataset([[1, 2], [3, 4]], names=names)
+        for kind in ("column", "variable", "node"):
+            with pytest.raises(ValueError, match=f"^{kind} names must be nonempty strings$"):
+                dataset._unique_names(names, kind)
+
     def test_nonfinite_matrix_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
             make_dataset([[1, np.inf], [3, 4]])

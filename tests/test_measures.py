@@ -359,6 +359,29 @@ class TestWeightMatrix:
                 WeightMatrix(names=("a", "b"), measure=measure, lattice_order=2,
                              signed=weights)
 
+    @pytest.mark.parametrize("names", [(1, 2), ("", "b"), ("a", None)])
+    def test_names_must_be_nonempty_strings(self, names):
+        with pytest.raises(ValueError, match="^variable names must be nonempty strings$"):
+            WeightMatrix(names, "rho_abs", 2, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_weight_matrix_arrays_are_read_only(self, measure):
+        values = np.round(np.random.default_rng(28).standard_normal((60, 3)), 1)
+        w = weight_matrix(Dataset(columns=tuple("abc"), values=values), measure)
+        assert not w.signed.flags.writeable and not w.values.flags.writeable
+        # one array serves both for the MI measures, whose scores are >= 0
+        assert (w.values is w.signed) == (measure != "rho_abs")
+        with pytest.raises(ValueError, match="read-only"):
+            w.signed[0, 1] = np.nan
+
+    def test_constructor_stores_a_read_only_copy(self):
+        signed = np.array([[0.0, 0.5], [0.5, 0.0]])
+        w = WeightMatrix(("a", "b"), "mi_cell", 2, signed)
+        assert signed.flags.writeable
+        assert not w.signed.flags.writeable and not w.values.flags.writeable
+        signed[0, 1] = np.nan  # the caller's array, not the checked copy
+        assert w.signed[0, 1] == w.values[0, 1] == 0.5
+
     @pytest.mark.parametrize("measure", MEASURES)
     def test_values_are_the_absolute_scores(self, measure):
         rng = np.random.default_rng(21)

@@ -1,9 +1,12 @@
 """Maximum spanning tree, coverage ratio, and the learning pipeline."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coptree import (
+    MEASURES,
     Dataset,
     DependenceTree,
     TreeEdge,
@@ -11,7 +14,9 @@ from coptree import (
     coverage_ratio,
     learn_structure,
     maximum_spanning_tree,
+    weight_matrix,
 )
+from coptree.cli import tree_as_dict
 from oracles import best_tree_weight, connected, literal_prim
 
 
@@ -179,6 +184,12 @@ class TestDependenceTreeType:
         with pytest.raises(ValueError, match="^unknown measure 'bogus'$"):
             DependenceTree(("a", "b"), (TreeEdge("a", "b", 0.5),), "bogus", 2)
 
+    # tree_as_dot would fail on such a name with AttributeError
+    @pytest.mark.parametrize("nodes", [(1, 2), ("", "b"), ("a", None)])
+    def test_node_names_must_be_nonempty_strings(self, nodes):
+        with pytest.raises(ValueError, match="^node names must be nonempty strings$"):
+            DependenceTree(nodes, (TreeEdge(*nodes, 0.5),), "mi_cell", 2)
+
     # every measure records a lattice order K >= 2, rho_abs included
     @pytest.mark.parametrize("order", [-7, 0, 1, True, 2.0, "x", None])
     def test_lattice_order_must_be_an_integer_of_at_least_2(self, order):
@@ -268,6 +279,19 @@ class TestCoverageRatio:
         with pytest.raises(ValueError, match="does not match"):
             coverage_ratio(tree, other)
 
+    def test_tree_of_another_measure_or_order_rejected(self):
+        # the same entries, so only the measure or the order tells them apart
+        entries = {(0, 1): 0.9, (0, 2): 0.5, (1, 2): 0.1}
+        tree = maximum_spanning_tree(matrix_of("abc", entries, "rho_abs"))
+        with pytest.raises(ValueError, match=(
+            "^tree of rho_abs at lattice order 2 does not match "
+            "the weight matrix of mi_cell at lattice order 2$"
+        )):
+            coverage_ratio(tree, matrix_of("abc", entries, "mi_cell"))
+        finer = WeightMatrix(tuple("abc"), "rho_abs", 3, matrix_of("abc", entries).signed)
+        with pytest.raises(ValueError, match="weight matrix of rho_abs at lattice order 3$"):
+            coverage_ratio(tree, finer)
+
 
 class TestLearnStructure:
     def test_pipeline_fills_coverage(self):
@@ -338,3 +362,65 @@ class TestLearnStructure:
             assert edge.weight == abs(edge.signed_value)
         if measure == "rho_abs":
             assert any(edge.signed_value < 0.0 for edge in tree.edges)
+
+
+def _bits(tree):
+    """A tree's fields, each float by its exact bits (float.hex)."""
+    edges = [(e.u, e.v, e.weight.hex(), e.signed_value.hex()) for e in tree.edges]
+    ratio = tree.coverage_ratio
+    return (tree.nodes, edges, tree.measure, tree.lattice_order,
+            None if ratio is None else ratio.hex())
+
+
+class TestCheckOnce:
+    """The learn path builds its own weights and trees without re-running
+    the public constructors' checks, and never makes what they refuse."""
+
+    @pytest.mark.parametrize("measure", ["rho_abs", "mi_cell"])
+    def test_learn_structure_runs_no_constructor_check(self, housing, measure, monkeypatch):
+        expected = tree_as_dict(learn_structure(housing, measure))
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} checked again")
+
+        for cls in (WeightMatrix, TreeEdge, DependenceTree):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        assert tree_as_dict(learn_structure(housing, measure)) == expected
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_public_constructors_accept_what_the_learn_path_builds(self, measure, data):
+        t = data.draw(st.integers(4, 80), label="T")
+        n = data.draw(st.integers(2, 7), label="N")
+        levels = data.draw(st.integers(2, 6), label="distinct values")  # heavy ties
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        values = np.random.default_rng(seed).integers(0, levels, (t, n)).astype(float)
+        values[:, -1] += values[:, 0]
+        table = Dataset(tuple(f"v{j}" for j in range(n)), values)
+        w = weight_matrix(table, measure)
+        again = WeightMatrix(w.names, w.measure, w.lattice_order, w.signed)
+        for built, checked in ((w.signed, again.signed), (w.values, again.values)):
+            assert np.array_equal(built.view(np.int64), checked.view(np.int64))
+        for tree in (maximum_spanning_tree(w), learn_structure(table, measure)):
+            rebuilt = DependenceTree(
+                tree.nodes, tuple(TreeEdge(e.u, e.v, e.signed_value) for e in tree.edges),
+                tree.measure, tree.lattice_order, tree.coverage_ratio,
+            )
+            assert _bits(rebuilt) == _bits(tree)
+
+    # The parent of this rule peaked at 3.53 (rho_abs) and 3.58 (mi_cell)
+    # N x N float64 matrices: signed, np.abs(signed), the constructor's
+    # symmetry temporaries and coverage_ratio's triu_indices.
+    @pytest.mark.parametrize("measure, t, n", [("rho_abs", 100, 1000), ("mi_cell", 100, 400)])
+    def test_learn_structure_peaks_below_three_weight_matrices(self, measure, t, n):
+        values = np.random.default_rng(n).standard_normal((t, n))
+        values[:, ::4] = np.round(values[:, ::4], 1)
+        table = Dataset(tuple(f"c{j}" for j in range(n)), values)
+        tracemalloc.start()
+        try:
+            learn_structure(table, measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n * n, peak / (8 * n * n)
