@@ -35,6 +35,10 @@ copies of the package then run the same cases in fresh interpreters:
   ``maximum_spanning_tree`` edges of each weight matrix in the order
   they join the tree, and the ``repr`` of ``learn_structure``'s
   ``coverage_ratio`` on each table for each measure;
+- on each of those two tables, the tree edges and the ``repr`` of the
+  ``coverage_ratio`` of a ``rho_abs`` matrix rebuilt by the public
+  ``WeightMatrix`` constructor with every score negated, which spans on
+  the same weights |s| from scores of the other sign;
 - ``copula_cdf_grid`` and ``copula_mass_grid`` ``values`` of the first 1,
   2 and 3 columns of the tied 500 x 300 table's ranks, under both tie
   modes, at lattice orders 1, 2, 5 and 13, saved with ``np.save``.
@@ -84,8 +88,8 @@ from pathlib import Path
 import numpy as np
 
 from coptree import (
-    Dataset, RankMatrix, column_ranks, copula_cdf_grid, copula_mass_grid,
-    learn_structure, maximum_spanning_tree, weight_matrix,
+    Dataset, RankMatrix, WeightMatrix, column_ranks, copula_cdf_grid, copula_mass_grid,
+    coverage_ratio, learn_structure, maximum_spanning_tree, weight_matrix,
 )
 
 out = Path(sys.argv[1])
@@ -107,6 +111,14 @@ for t, n in ((50000, 16), (500, 300)):
             f"{e.u} {e.v} {e.weight!r} {e.signed_value!r}\\n" for e in edges))
         (out / f"{tag}-{measure}-coverage.txt").write_text(
             repr(learn_structure(table, measure).coverage_ratio))
+        if measure == "rho_abs":
+            # every rho negated: the same weights |s|, so the same tree and coverage
+            flipped = WeightMatrix(w.names, measure, w.lattice_order, -w.signed)
+            tree = maximum_spanning_tree(flipped)
+            (out / f"{tag}-{measure}-flipped-tree.txt").write_text("".join(
+                f"{e.u} {e.v} {e.weight!r} {e.signed_value!r}\\n" for e in tree.edges))
+            (out / f"{tag}-{measure}-flipped-coverage.txt").write_text(
+                repr(coverage_ratio(tree, flipped)))
 # the last table is the tied 500 x 300 one; its column 0 is tied, 1 is not
 for mode, r in ranks.items():
     for dim in (1, 2, 3):

@@ -76,7 +76,7 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A T x N table of finite reals with named columns.
 
@@ -136,7 +136,7 @@ def _check_permutations(ranks: np.ndarray, names) -> np.ndarray:
     return ranks.astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankMatrix:
     """Per-column ranks of a dataset; each column is a permutation of 1..T."""
 

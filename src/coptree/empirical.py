@@ -50,13 +50,14 @@ def default_lattice_order(sample_count: int) -> int:
     return max(2, math.isqrt(_integer(sample_count, "sample_count", 2) // 20))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CopulaGrid:
     """Values of the empirical copula ("cdf") or its cell masses ("mass").
 
     CDF grids have shape (K+1,)*N indexed from 0 (so any index at 0 holds
     0 and the top corner holds 1); mass grids have shape (K,)*N with cell
-    t stored at index t-1.
+    t stored at index t-1.  ``order`` and ``dim`` are integers >= 1 and
+    ``values`` is stored as a float array.
     """
 
     order: int
@@ -65,14 +66,20 @@ class CopulaGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        order = _integer(self.order, "grid order", 1)
+        dim = _integer(self.dim, "grid dim", 1)
         if self.kind not in ("cdf", "mass"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        side = self.order + 1 if self.kind == "cdf" else self.order
-        if self.values.shape != (side,) * self.dim:
+        values = np.asarray(self.values, dtype=float)
+        side = order + 1 if self.kind == "cdf" else order
+        if values.shape != (side,) * dim:
             raise ValueError(
-                f"{self.kind} grid of order {self.order} and dim {self.dim} "
-                f"must have shape {(side,) * self.dim}, got {self.values.shape}"
+                f"{self.kind} grid of order {order} and dim {dim} "
+                f"must have shape {(side,) * dim}, got {values.shape}"
             )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "values", values)
 
 
 def _check_lattice(order, dim: int, lowest: int, sample_count: int) -> int:

@@ -30,7 +30,11 @@ float64 while T^2 <= 2^53, so an exactly independent grid scores exactly
 0.  A pair's score does not depend on the other columns scored with it.
 Those guarantees are why :func:`weight_matrix` builds its
 :class:`WeightMatrix` through ``dataset._unchecked``, without the
-constructor's checks, which stay for matrices from outside.
+constructor's checks, which stay for matrices from outside.  A
+:class:`WeightMatrix` stores the signed scores only; the spanning weight
+|s| is derived where it is read (``WeightMatrix.values`` for callers,
+:mod:`coptree.structure` row by row), so the learn path holds one N x N
+array.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 
 The lattice rules live in :mod:`coptree.empirical`: this module takes
@@ -41,7 +45,8 @@ the counts it is given.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,7 +148,7 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
     return _pair_score(rank_x, rank_y, "mi_cell", lattice_order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelDensity:
     """Gaussian kernel density estimate of one variable.
 
@@ -219,7 +224,8 @@ def _scores(ranks: np.ndarray, measure: str, order: int) -> np.ndarray:
         margin = _margins(len(ranks), order)
         # K m_c is formed in integers, so the gap is exactly 0 when K | T
         gap = 2.0 * np.sum(margin / len(ranks) * np.log(order * margin / len(ranks)))
-        scores[~np.eye(len(scores), dtype=bool)] += gap
+        scores += gap
+        np.fill_diagonal(scores, 0.0)
     return scores
 
 
@@ -264,22 +270,20 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Symmetric N x N matrix of pairwise dependence weights.
 
     ``signed`` holds the scores (the signed rho for rho_abs, the MI, which
-    is >= 0, for the MI measures), zero diagonal; ``values`` is derived as
-    ``np.abs(signed)``, the spanning weights.  Both arrays are read-only,
-    and ``signed`` is a copy of the array given, so the checks made here
-    hold for the object's lifetime.
+    is >= 0, for the MI measures), zero diagonal, and is the one array
+    stored.  It is read-only, a copy of the array given, so the checks
+    made here hold for the object's lifetime.  Equality is identity.
     """
 
     names: tuple[str, ...]
     measure: str
     lattice_order: int
     signed: np.ndarray
-    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         names = _unique_names(self.names, "variable")
@@ -298,12 +302,20 @@ class WeightMatrix:
             raise ValueError("diagonal entries must be 0")
         if self.measure != "rho_abs" and np.any(signed < 0.0):
             raise ValueError(f"{self.measure} weights must be nonnegative")
-        values = np.abs(signed)
-        for array in (signed, values):
-            array.setflags(write=False)
+        signed.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "signed", signed)
-        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The spanning weights ``np.abs(signed)``, read-only, built on
+        first read: ``signed`` itself when no entry carries a minus sign
+        (so for the MI measures :func:`weight_matrix` scores), otherwise a
+        second array.  The package reads ``signed`` only and takes |s|
+        where it needs it."""
+        values = np.abs(self.signed) if np.signbit(self.signed).any() else self.signed
+        values.setflags(write=False)
+        return values
 
     @property
     def dim(self) -> int:
@@ -323,7 +335,7 @@ def weight_matrix(
     data : Dataset
     measure : {"rho_abs", "mi_cell", "mi_kde"}
         ``signed`` holds the signed rho for rho_abs and the MI for the
-        MI measures; ``values`` is its absolute value.
+        MI measures; ``values`` is its absolute value, derived on read.
     lattice_order : int
         Grid resolution for the MI measures; 0 picks
         ``default_lattice_order(T)``.  Otherwise it must be an integer in
@@ -349,15 +361,13 @@ def weight_matrix(
     :class:`WeightMatrix` checks, which :func:`_scores` meets by
     construction: finite weights, exactly symmetric (the rank Gram fills
     both triangles, ``_mi_weights`` mirrors its rows), a zero diagonal and
-    a nonnegative MI.  Its arrays are read-only; for the MI measures
-    ``values`` is ``signed``, one array.
+    a nonnegative MI.  ``signed`` is read-only and is the one N x N array
+    it holds.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     lattice_order = _lattice_order(lattice_order, data.sample_count)
     signed = _scores(column_ranks(data.values, "random", tie_seed), measure, lattice_order)
-    values = np.abs(signed) if measure == "rho_abs" else signed
-    for array in (signed, values):
-        array.setflags(write=False)
+    signed.setflags(write=False)
     return _unchecked(WeightMatrix, names=data.columns, measure=measure,
-                      lattice_order=lattice_order, signed=signed, values=values)
+                      lattice_order=lattice_order, signed=signed)

@@ -12,6 +12,10 @@ whose other end is smaller always has the smaller pair, so a vertex keeps
 the smaller partner; the pairs themselves are compared only when several
 vertices hold the top weight.
 
+An edge's spanning weight is |s| of the one score s stored for its pair:
+Prim reads the signed matrix and takes |s| of each row it compares, and
+a :class:`TreeEdge` derives its ``weight`` from its ``signed_value``.
+
 The package's own edges and trees are built through ``dataset._unchecked``
 without re-running the :class:`TreeEdge` and :class:`DependenceTree`
 checks, which a valid :class:`WeightMatrix` and Prim meet by construction;
@@ -19,7 +23,7 @@ the public constructors keep every check for trees from outside.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,27 +42,31 @@ __all__ = [
 @dataclass(frozen=True)
 class TreeEdge:
     """Undirected weighted tree edge.  ``signed_value`` is the pair's
-    score (the signed rho for rho_abs, the MI otherwise); ``weight`` is
-    derived as ``abs(signed_value)``, the spanning weight.  A
-    ``signed_value`` that is not a finite real number raises ValueError."""
+    score (the signed rho for rho_abs, the MI otherwise) and the one
+    number stored; the ``weight`` property is ``abs(signed_value)``, the
+    spanning weight.  A ``signed_value`` that is not a finite real number
+    raises ValueError."""
 
     u: str
     v: str
     signed_value: float
-    weight: float = field(init=False)
 
     def __post_init__(self):
         if not (_real(self.signed_value) and -np.inf < self.signed_value < np.inf):
             raise ValueError(f"edge ({self.u}, {self.v}) signed value must be a finite "
                              f"number, got {self.signed_value!r}")
-        object.__setattr__(self, "weight", abs(self.signed_value))
+
+    @property
+    def weight(self) -> float:
+        return abs(self.signed_value)
 
 
 @dataclass(frozen=True)
 class DependenceTree:
     """A spanning tree of the variables: N nodes, N-1 weighted edges.
 
-    ``coverage_ratio`` is None or a number in (0, 1].
+    Each edge must be a :class:`TreeEdge`.  ``coverage_ratio`` is None or
+    a number in (0, 1].
     """
 
     nodes: tuple[str, ...]
@@ -90,6 +98,8 @@ class DependenceTree:
             return a
 
         for edge in edges:
+            if not isinstance(edge, TreeEdge):
+                raise ValueError(f"edges must be TreeEdge objects, got {type(edge).__name__}")
             if edge.u not in index or edge.v not in index:
                 raise ValueError(f"edge ({edge.u}, {edge.v}) names unknown nodes")
             ru, rv = find(index[edge.u]), find(index[edge.v])
@@ -125,27 +135,27 @@ def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
     The edges and the tree are built without the :class:`TreeEdge` and
     :class:`DependenceTree` checks: a :class:`WeightMatrix` holds finite
     weights over unique names, and Prim's N-1 picks span the nodes by
-    construction.  An edge's ``weight`` is the ``values`` entry, which has
-    the bits of ``abs(signed_value)``.
+    construction.  Prim reads ``w.signed`` and takes the spanning weight
+    |s| of one row at a time, so no N x N array of weights is made.
     """
     n = w.dim
     if n < 2:
         raise ValueError(f"need at least 2 variables, got {n}")
-    values = w.values
+    signed = w.signed
     # Each out-of-tree vertex's best crossing edge: its weight and in-tree
     # end.  In-tree vertices hold -inf so that they are never picked.
     out = np.ones(n, dtype=bool)
     best = np.full(n, -np.inf)
     partner = np.zeros(n, dtype=np.int64)
     # The heaviest edge's smaller end is the first row holding the largest
-    # weight (weights are >= 0 with a zero diagonal).  Growing from it
-    # attaches the heaviest edge first.
-    u = int(np.argmax(values.max(axis=1)))
+    # weight |s| (a zero diagonal keeps each row's largest |s| >= 0).
+    # Growing from it attaches the heaviest edge first.
+    u = int(np.argmax(np.maximum(signed.max(axis=1), -signed.min(axis=1))))
     edges = []
     for _ in range(n - 1):
         out[u] = False
         best[u] = -np.inf
-        row = values[u]
+        row = np.abs(signed[u])
         # of two equal edges into v, the one with the smaller other end
         # has the smaller (min index, max index) pair
         better = out & ((row > best) | ((row == best) & (u < partner)))
@@ -163,8 +173,8 @@ def maximum_spanning_tree(w: WeightMatrix) -> DependenceTree:
         v = int(partner[u])
         edges.append((min(u, v), max(u, v)))
     tree_edges = tuple(
-        _unchecked(TreeEdge, u=w.names[a], v=w.names[b], signed_value=float(w.signed[a, b]),
-                   weight=float(w.values[a, b])) for a, b in edges)
+        _unchecked(TreeEdge, u=w.names[a], v=w.names[b], signed_value=float(signed[a, b]))
+        for a, b in edges)
     return _unchecked(DependenceTree, nodes=w.names, edges=tree_edges, measure=w.measure,
                       lattice_order=w.lattice_order, coverage_ratio=None)
 
@@ -189,15 +199,16 @@ def coverage_ratio(tree: DependenceTree, w: WeightMatrix) -> float:
     index = {name: i for i, name in enumerate(w.names)}
     tree_sum = 0.0
     for edge in tree.edges:
-        entry = w.values[index[edge.u], index[edge.v]]
-        if abs(entry - edge.weight) > 1e-12:
+        weight, entry = edge.weight, abs(w.signed.item(index[edge.u], index[edge.v]))
+        if abs(entry - weight) > 1e-12:
             raise ValueError(
-                f"edge ({edge.u}, {edge.v}) weight {edge.weight} does not "
+                f"edge ({edge.u}, {edge.v}) weight {weight} does not "
                 f"match the matrix entry {entry}"
             )
-        tree_sum += edge.weight
+        tree_sum += weight
     # the pairs above the diagonal in row-major order, the order that fixes the sum's bits
-    total = float(w.values[~np.tri(w.dim, dtype=bool)].sum())
+    upper = w.signed[~np.tri(w.dim, dtype=bool)]
+    total = float(np.abs(upper, out=upper).sum())
     return min(tree_sum / total, 1.0) if total > 0.0 else 1.0
 
 

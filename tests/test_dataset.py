@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from coptree import (
     CopulaBlock,
+    CopulaGrid,
     Dataset,
+    KernelDensity,
     MarginSpec,
     RankMatrix,
     SyntheticSpec,
+    WeightMatrix,
     column_ranks,
     default_lattice_order,
     generate_synthetic,
@@ -356,6 +359,28 @@ class TestDatasetValidation:
     def test_nonfinite_matrix_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
             make_dataset([[1, np.inf], [3, 4]])
+
+
+# Each builds a new object holding equal arrays on every call.
+ARRAY_TYPES = {
+    "Dataset": lambda: make_dataset([[1, 2], [3, 4], [5, 7]]),
+    "RankMatrix": lambda: RankMatrix(np.array([[1, 2], [2, 1], [3, 3]])),
+    "CopulaGrid": lambda: CopulaGrid(2, 1, "mass", np.array([0.5, 0.5])),
+    "KernelDensity": lambda: KernelDensity(np.array([0.0, 1.0, 3.0]), 0.5),
+    "WeightMatrix": lambda: WeightMatrix(("a", "b"), "rho_abs", 2,
+                                         np.array([[0.0, -0.5], [-0.5, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_TYPES.values(), ids=ARRAY_TYPES.keys())
+def test_types_holding_arrays_compare_by_identity(build):
+    # the generated __eq__ compared the arrays ("truth value ... is
+    # ambiguous") and __hash__ hashed them (unhashable ndarray)
+    first, second = build(), build()
+    assert first == first and not first != first
+    assert first != second and not first == second
+    assert hash(first) == hash(first)
+    assert len({first, second, first}) == 2
 
 
 class TestRankTransform:

@@ -250,6 +250,23 @@ class TestGridProperties:
         with pytest.raises(ValueError, match="shape"):
             CopulaGrid(order=2, dim=2, kind="mass", values=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("order", -1), ("order", 0), ("order", 2.0), ("order", True), ("order", "2"),
+        ("dim", 0), ("dim", 1.0), ("dim", None),
+    ])
+    def test_grid_order_and_dim_must_be_integers_of_at_least_1(self, field, value):
+        fields = {"order": 2, "dim": 1, "kind": "mass", "values": np.zeros(2), field: value}
+        with pytest.raises(ValueError, match=f"^grid {field} must be "):
+            CopulaGrid(**fields)
+
+    def test_grid_fields_stored_as_int_and_float_array(self):
+        grid = CopulaGrid(np.int64(2), np.int64(1), "mass", [1, 0])
+        assert type(grid.order) is int and type(grid.dim) is int
+        assert grid.values.dtype == np.float64 and grid.values.tolist() == [1.0, 0.0]
+        # a package grid is float64 already, so it is stored as it is
+        built = copula_mass_grid(EXAMPLE_3, 3)
+        assert CopulaGrid(3, 2, "mass", built.values).values is built.values
+
 
 class TestScaling:
     def test_large_inputs_stay_fast(self):

@@ -383,6 +383,23 @@ class TestWeightMatrix:
         assert w.signed[0, 1] == w.values[0, 1] == 0.5
 
     @pytest.mark.parametrize("measure", MEASURES)
+    def test_values_derived_once_on_read(self, measure):
+        values = np.round(np.random.default_rng(29).standard_normal((60, 3)), 1)
+        values[:, 1] -= values[:, 0]
+        built = weight_matrix(Dataset(columns=tuple("abc"), values=values), measure)
+        checked = WeightMatrix(built.names, measure, built.lattice_order, built.signed)
+        for w in (built, checked):
+            assert "values" not in vars(w)  # nothing stored until it is read
+            first = w.values
+            assert w.values is first and not first.flags.writeable
+            assert np.array_equal(first, np.abs(w.signed))
+
+    def test_values_of_negative_zeros_are_positive_zeros(self):
+        # -0.0 passes the MI sign check; np.abs(-0.0) is 0.0
+        w = WeightMatrix(("a", "b"), "mi_cell", 2, np.full((2, 2), -0.0))
+        assert np.signbit(w.signed).any() and not np.signbit(w.values).any()
+
+    @pytest.mark.parametrize("measure", MEASURES)
     def test_values_are_the_absolute_scores(self, measure):
         rng = np.random.default_rng(21)
         values = rng.standard_normal((80, 4))

@@ -1,4 +1,5 @@
 """Maximum spanning tree, coverage ratio, and the learning pipeline."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -211,6 +212,18 @@ class TestDependenceTreeType:
     def test_edge_weight_is_the_absolute_value(self, value):
         assert TreeEdge("a", "b", value).weight == abs(value)
 
+    def test_edge_stores_only_its_signed_value(self):
+        edge = TreeEdge("a", "b", -0.25)
+        assert edge.weight == 0.25
+        assert [f.name for f in dataclasses.fields(TreeEdge)] == ["u", "v", "signed_value"]
+        assert repr(edge) == "TreeEdge(u='a', v='b', signed_value=-0.25)"
+
+    @pytest.mark.parametrize("edge", [("a", "b", 0.5), None, "ab"])
+    def test_edge_must_be_a_tree_edge(self, edge):
+        with pytest.raises(ValueError, match=f"^edges must be TreeEdge objects, got "
+                                             f"{type(edge).__name__}$"):
+            DependenceTree(("a", "b"), (edge,), "rho_abs", 2)
+
     @pytest.mark.parametrize("ratio", [7.5, 1.0000000000000002, 0.0, -0.1, np.nan, np.inf,
                                        "0.5", True])
     def test_coverage_ratio_must_lie_in_the_unit_interval(self, ratio):
@@ -409,18 +422,60 @@ class TestCheckOnce:
             )
             assert _bits(rebuilt) == _bits(tree)
 
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_learn_structure_reads_no_values(self, housing, measure, monkeypatch):
+        expected = tree_as_dict(learn_structure(housing, measure))
+
+        def refuse(self):
+            raise AssertionError("WeightMatrix.values read on the learn path")
+
+        monkeypatch.setattr(WeightMatrix, "values", property(refuse))
+        assert tree_as_dict(learn_structure(housing, measure)) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_negated_rho_spans_the_same_tree(self, data):
+        t = data.draw(st.integers(4, 80), label="T")
+        n = data.draw(st.integers(2, 8), label="N")
+        levels = data.draw(st.integers(2, 6), label="distinct values")  # heavy ties
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        values = np.random.default_rng(seed).integers(0, levels, (t, n)).astype(float)
+        values[:, -1] -= values[:, 0]
+        w = weight_matrix(Dataset(tuple(f"v{j}" for j in range(n)), values), "rho_abs")
+        flipped = WeightMatrix(w.names, "rho_abs", w.lattice_order, -w.signed)
+        tree, other = maximum_spanning_tree(w), maximum_spanning_tree(flipped)
+        assert [(e.u, e.v) for e in other.edges] == [(e.u, e.v) for e in tree.edges]
+        assert [e.signed_value for e in other.edges] == [-e.signed_value for e in tree.edges]
+        assert coverage_ratio(other, flipped) == coverage_ratio(tree, w)
+
     # The parent of this rule peaked at 3.53 (rho_abs) and 3.58 (mi_cell)
     # N x N float64 matrices: signed, np.abs(signed), the constructor's
     # symmetry temporaries and coverage_ratio's triu_indices.
     @pytest.mark.parametrize("measure, t, n", [("rho_abs", 100, 1000), ("mi_cell", 100, 400)])
     def test_learn_structure_peaks_below_three_weight_matrices(self, measure, t, n):
-        values = np.random.default_rng(n).standard_normal((t, n))
-        values[:, ::4] = np.round(values[:, ::4], 1)
-        table = Dataset(tuple(f"c{j}" for j in range(n)), values)
-        tracemalloc.start()
-        try:
-            learn_structure(table, measure)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 8 * n * n, peak / (8 * n * n)
+        assert _learn_peak(measure, t, n) <= 3
+
+    # Before the spanning weights were derived on read, rho_abs held
+    # signed and np.abs(signed) and peaked at 2.67 N x N matrices here.
+    def test_rho_learn_path_holds_one_weight_matrix(self):
+        assert _learn_peak("rho_abs", 100, 1000) <= 2.0
+
+    # mi_kde scores as mi_cell plus one constant off the diagonal; adding
+    # it through a boolean mask peaked at 2.37 against mi_cell's 2.07.
+    def test_mi_kde_peaks_no_higher_than_mi_cell(self):
+        assert _learn_peak("mi_kde", 100, 400) <= _learn_peak("mi_cell", 100, 400) + 0.01
+
+
+def _learn_peak(measure, t, n):
+    """The tracemalloc peak of learn_structure on a partly tied T x N
+    table, in N x N float64 matrices."""
+    values = np.random.default_rng(n).standard_normal((t, n))
+    values[:, ::4] = np.round(values[:, ::4], 1)
+    table = Dataset(tuple(f"c{j}" for j in range(n)), values)
+    tracemalloc.start()
+    try:
+        learn_structure(table, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n * n)
