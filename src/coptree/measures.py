@@ -23,11 +23,16 @@ rho_abs comes from one BLAS product R^T R of the float64 rank matrix
 (while every partial sum is an integer of at most 2^53, so it is exact
 and the same for any BLAS kernel or thread count; an exact int64 product
 beyond, up to T = 3,024,616, and a float64 sum that rounds above that),
-the MI measures from one cell-counting pass per column and one
-array expression over each block of integer cell counts.  Each cell's
-ratio to its margins is one division of two integer products, exact in
-float64 while T^2 <= 2^53, so an exactly independent grid scores exactly
-0.  A pair's score does not depend on the other columns scored with it.
+the MI measures from one cell-counting pass per column, each block of
+integer cell counts scored by looking its cells' terms n ln(n T / d) up
+in one table per (T, K) (:func:`_mi_terms`).  Each term's ratio is one
+division of two integers, exact in float64 while T^2 <= 2^53, so an
+exactly independent grid scores exactly 0.  Every log on the MI path,
+the table's and the ``mi_kde`` gap's, is taken by ``math.log`` (see
+:func:`_log`), never by ``np.log``, whose kernel numpy picks by CPU, so
+the MI weights have the same bits whichever targets numpy dispatches to;
+whether ``math.log`` agrees across libm builds is not checked.
+A pair's score does not depend on the other columns scored with it.
 Those guarantees are why :func:`weight_matrix` builds its
 :class:`WeightMatrix` through ``dataset._unchecked``, without the
 constructor's checks, which stay for matrices from outside.  A
@@ -45,12 +50,13 @@ the counts it is given.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset, _check_permutations, _integer, _unchecked, _unique_names, column_ranks
+from .dataset import Dataset, _check_permutations, _integer, _real, _unchecked, _unique_names, column_ranks
 from .empirical import _cell_indices, _joint_counts, _lattice_order, _margins
 
 __all__ = [
@@ -137,7 +143,9 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
     is a KL divergence).  Given two rank columns in table order it equals
     the :func:`weight_matrix` entry bit for bit; swapping the arguments
     transposes the grid, so the sum runs in another order and agrees only
-    to rounding (it can differ in the last bit).
+    to rounding (it can differ in the last bit).  Each cell's log is
+    taken by ``math.log``, so the result has the same bits whichever CPU
+    targets numpy dispatches to.
 
     Note: the estimator carries an upward bias of roughly
     (K-1)^2 / (2T) nats at independence; keep K well below sqrt(T)
@@ -155,7 +163,7 @@ class KernelDensity:
     Attributes
     ----------
     samples : ndarray, shape (T,)
-    bandwidth : float, > 0
+    bandwidth : float, a real number in (0, inf); a bool is not one
     """
 
     samples: np.ndarray
@@ -167,9 +175,10 @@ class KernelDensity:
             raise ValueError("need at least one sample")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not (_real(self.bandwidth) and 0 < self.bandwidth < math.inf):
+            raise ValueError(f"bandwidth must be a real number in (0, inf), got {self.bandwidth!r}")
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
     @classmethod
     def fit(cls, samples, bandwidth: float | None = None) -> "KernelDensity":
@@ -194,7 +203,7 @@ class KernelDensity:
                     "degenerate column: zero variance gives zero bandwidth"
                 )
             bandwidth = 1.06 * sigma * samples.size ** (-0.2)
-        return cls(samples=samples, bandwidth=float(bandwidth))
+        return cls(samples=samples, bandwidth=bandwidth)
 
     def density(self, x):
         """Evaluate the density at a scalar or array of points."""
@@ -223,7 +232,7 @@ def _scores(ranks: np.ndarray, measure: str, order: int) -> np.ndarray:
     if measure == "mi_kde":
         margin = _margins(len(ranks), order)
         # K m_c is formed in integers, so the gap is exactly 0 when K | T
-        gap = 2.0 * np.sum(margin / len(ranks) * np.log(order * margin / len(ranks)))
+        gap = 2.0 * np.sum(margin / len(ranks) * _log(order * margin / len(ranks)))
         scores += gap
         np.fill_diagonal(scores, 0.0)
     return scores
@@ -236,6 +245,29 @@ def _pair_score(rank_x, rank_y, measure: str, lattice_order: int = 0) -> float:
     return float(_scores(ranks, measure, _lattice_order(lattice_order, ranks.shape[0]))[0, 1])
 
 
+def _log(x: np.ndarray) -> np.ndarray:
+    """The natural log of every entry of a float64 array, each taken by
+    ``math.log``: numpy picks its ``np.log`` kernel by CPU, and the bits
+    of the result with it."""
+    return np.array(list(map(math.log, x.ravel().tolist()))).reshape(x.shape)
+
+
+def _mi_terms(t: int, low: int) -> np.ndarray:
+    """The MI term n ln(n T / d_s) of a lattice cell that holds n samples,
+    stored at index s * (low + 2) + n, where low = T // K.
+
+    Every margin is low or low + 1, so a cell's margin product is
+    d_s = (low + a)(low + b) with s = a + b in {0, 1, 2}, and a cell holds
+    at most low + 1 samples.  n T and d_s are integers, so while both are
+    at most 2^53 each ratio is one correctly rounded division; the entry
+    at n = 0 is 0 (0 ln 0 := 0).
+    """
+    n = np.arange(low + 2)
+    ratio = n * t / np.array([low * low, low * (low + 1), (low + 1) ** 2])[:, np.newaxis]
+    ratio[:, 0] = 1.0
+    return (n * _log(ratio)).ravel()
+
+
 def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     """Symmetric N x N lattice MI ("mi_cell") of every column pair of a
     T x N rank array, zero diagonal.
@@ -243,29 +275,28 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     Each pair's K x K cell counts come from one
     ``empirical._joint_counts`` call per column i over the columns j > i,
     taken in blocks of at most ``_MAX_BLOCK_CELLS`` elements: block row j
-    holds the pair's cell index cell_i * K + cell_j.  Reshaped to
-    (pairs, K, K), the integer counts n_ij give every cell's ratio to its
-    margins in one division, n_ij T / (m_i m_j), with m from
-    ``empirical._margins``: every rank column has those margins, so every
-    pair does.  Both integer products are at most T^2, so while T^2 <= 2^53
-    they are exact in float64 and the ratio is correctly rounded; an
-    exactly independent grid has every ratio exactly 1 and an MI of
-    exactly 0.0.  Empty cells take the ratio 1, so they add 0, and each
-    pair's MI is sum_ij n_ij ln(ratio_ij) / T.
+    holds the pair's cell index cell_i * K + cell_j.  Every rank column
+    has the margins m of ``empirical._margins``, each low = T // K or
+    low + 1, so cell (a, b) finds its term n_ab ln(n_ab T / (m_a m_b)) in
+    the :func:`_mi_terms` table at n_ab + base_ab, where base_ab is
+    (m_a + m_b - 2 low)(low + 2).  Each pair's MI is the sum of its K x K
+    terms over T.  An exactly independent grid has every ratio exactly 1
+    and an MI of exactly 0.0.
     """
     t, n = ranks.shape
     cells = _cell_indices(ranks, order).T.copy()
     area = order * order
     width = max(1, _MAX_BLOCK_CELLS // max(t, area))
-    margin = _margins(t, order)
-    den = np.outer(margin, margin)
+    low = t // order
+    klass = _margins(t, order) - low
+    base = ((klass[:, np.newaxis] + klass) * (low + 2)).ravel()
+    terms = _mi_terms(t, low)
     values = np.zeros((n, n))
     for i in range(n - 1):
         for lo in range(i + 1, n, width):
             flat = cells[lo : lo + width] + cells[i] * order
-            counts = _joint_counts(flat, area).reshape(-1, order, order)
-            ratio = np.divide(counts * t, den, out=np.ones(counts.shape), where=counts > 0)
-            values[i, lo : lo + width] = (counts * np.log(ratio)).sum(axis=(1, 2)) / t
+            index = _joint_counts(flat, area) + base
+            values[i, lo : lo + width] = terms[index].reshape(-1, order, order).sum(axis=(1, 2)) / t
             values[lo : lo + width, i] = values[i, lo : lo + width]
     return values
 

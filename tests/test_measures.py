@@ -1,7 +1,12 @@
 """Spearman's rho, lattice mutual information, kernel densities, and the
 pairwise weight matrix."""
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +32,8 @@ from coptree import (
 from coptree import empirical, measures
 from coptree.empirical import _cell_indices
 from oracles import naive_spearman, observed_margin_mi, uniform_margin_mi
+
+TESTS = Path(__file__).resolve().parent
 
 
 class TestSpearmanRho:
@@ -121,16 +128,16 @@ class TestMutualInfoCell:
             assert abs(forward - backward) < 1e-12
 
     def test_table_order_is_exact_and_swapped_order_agrees_to_rounding(self):
-        # a tied table: the transposed grid sums in another order, which
-        # here moves the last bit; in table order the weight_matrix entry
-        # is matched bit for bit
-        table = np.ones((43, 2))
+        # a tied table with margins 2, 2, 3: the transposed grid sums in
+        # another order, which here moves the last bit; in table order the
+        # weight_matrix entry is matched bit for bit
+        table = np.ones((7, 2))
         r = column_ranks(table, "random", 0)
         forward = mutual_info_cell(r[:, 0], r[:, 1], 3)
         backward = mutual_info_cell(r[:, 1], r[:, 0], 3)
         w = weight_matrix(Dataset(columns=("a", "b"), values=table), "mi_cell", 3)
-        assert forward == w.signed[0, 1] == 0.05102908175678003
-        assert backward == 0.05102908175678002
+        assert forward == w.signed[0, 1] == 0.410116318288409
+        assert backward == 0.41011631828840905
         assert abs(forward - backward) <= 1e-15
 
     def test_order_validation(self):
@@ -184,6 +191,22 @@ class TestKernelDensity:
             KernelDensity.fit(np.ones(50))
         with pytest.raises(ValueError, match="bandwidth"):
             KernelDensity(samples=np.array([1.0, 2.0]), bandwidth=0.0)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1, math.inf, math.nan, True, "1"])
+    def test_bandwidth_must_be_a_positive_finite_real(self, bandwidth):
+        # an infinite bandwidth makes the density 0 everywhere, and a bool
+        # or a string is not a number of sample units
+        samples = np.array([0.0, 1.0])
+        message = f"bandwidth must be a real number in \\(0, inf\\), got {bandwidth!r}"
+        with pytest.raises(ValueError, match=message):
+            KernelDensity(samples, bandwidth)
+        with pytest.raises(ValueError, match=message):
+            KernelDensity.fit(samples, bandwidth)
+
+    def test_bandwidth_is_stored_as_a_float(self):
+        for kd in (KernelDensity.fit(np.array([0.0, 1.0]), 2),
+                   KernelDensity(np.array([0.0, 1.0]), np.float32(2.0))):
+            assert type(kd.bandwidth) is float and kd.bandwidth == 2.0
 
     def test_vector_evaluation_matches_scalar(self):
         kd = KernelDensity.fit(np.random.default_rng(15).standard_normal(100))
@@ -600,6 +623,83 @@ class TestBulkMiWeights:
                 ):
                     w = weight_matrix(table, measure, tie_seed=tie_seed)
                 assert np.array_equal(w.values, expected)
+
+
+def tied_table(t, n):
+    """A dependent T x N table whose even columns are rounded, so tied."""
+    rng = np.random.default_rng(t + n)
+    values = rng.standard_normal((t, n)) @ np.triu(rng.standard_normal((n, n)))
+    values[:, ::2] = np.round(values[:, ::2])
+    return Dataset(columns=tuple(f"c{j}" for j in range(n)), values=values)
+
+
+def mi_weight_digests():
+    """SHA-256 of the signed mi_cell and mi_kde weights of three tables: the
+    43 x 2 all-ones table at K = 3 and tied 4177 x 9 (K = 14 does not
+    divide T) and 500 x 300 tables at the default lattice order."""
+    digests = []
+    for table, order in ((Dataset(columns=("a", "b"), values=np.ones((43, 2))), 3),
+                         (tied_table(4177, 9), 0), (tied_table(500, 300), 0)):
+        for measure in ("mi_cell", "mi_kde"):
+            signed = weight_matrix(table, measure, order).signed
+            digests.append(hashlib.sha256(signed.tobytes()).hexdigest())
+    return digests
+
+
+class TestMiBitsOnEveryCpu:
+    """The MI weights take every log from ``math.log``, never from numpy's
+    ``np.log``, whose kernel (and bits) numpy picks by CPU."""
+
+    @pytest.mark.parametrize("t, order", [(2, 2), (7, 3), (59, 3), (4177, 14), (1000, 31)])
+    def test_table_holds_the_math_log_terms(self, t, order):
+        low = t // order
+        terms = measures._mi_terms(t, low).tolist()
+        products = (low * low, low * (low + 1), (low + 1) ** 2)
+        expected = [n * math.log(n * t / d) if n else 0.0
+                    for d in products for n in range(low + 2)]
+        assert terms == expected
+
+    @pytest.mark.parametrize("t, n, order", [(43, 2, 3), (500, 6, 5), (4177, 9, 14)])
+    def test_weights_sum_the_math_log_terms_of_each_cell(self, t, n, order):
+        table = tied_table(t, n)
+        ranks = column_ranks(table.values, "random", 0)
+        cells = _cell_indices(ranks, order)
+        margin = empirical._margins(t, order).tolist()
+        w = weight_matrix(table, "mi_cell", order)
+        for i, j in itertools.combinations(range(n), 2):
+            counts = np.zeros((order, order), dtype=np.int64)
+            np.add.at(counts, (cells[:, i], cells[:, j]), 1)
+            terms = np.array([[c * math.log(c * t / (margin[a] * margin[b])) if c else 0.0
+                               for b, c in enumerate(row)] for a, row in enumerate(counts.tolist())])
+            assert w.signed[i, j] == terms[np.newaxis].sum(axis=(1, 2))[0] / t
+
+    def test_mi_kde_gap_takes_its_logs_from_math_log(self):
+        # at T = 59, K = 3 an AVX-512 np.log moves the gap's last bits
+        t, order = 59, 3
+        rank_x, rank_y = np.arange(1, t + 1), np.random.default_rng(3).permutation(t) + 1
+        margin = empirical._margins(t, order)
+        logs = np.array([math.log(order * m / t) for m in margin.tolist()])
+        gap = 2.0 * np.sum(margin / t * logs)
+        assert mi_kde_pair(rank_x, rank_y, order) == mutual_info_cell(rank_x, rank_y, order) + gap
+
+    def test_same_bits_with_numpy_dispatch_switched_off(self, tmp_path):
+        # a child interpreter with every CPU target numpy dispatches to
+        # switched off, so its np.log is the baseline kernel
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_dispatch__
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", "from test_measures import mi_weight_digests\n"
+                                   "print(*mi_weight_digests())"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == mi_weight_digests()
 
 
 class TestBulkRhoWeights:
