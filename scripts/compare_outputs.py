@@ -21,7 +21,9 @@ copies of the package then run the same cases in fresh interpreters:
 - ``coptree learn`` (each measure) on a 200 x 5 table that opens with a
   blank line and a whitespace-only line before its header, generated
   into the temporary directory;
-- ``coptree measure`` stdout for three column pairs and each measure;
+- ``coptree measure`` stdout for three column pairs (all tied in
+  housing) and each measure, with the default tie seed and with
+  ``--tie-seed 1``;
 - ``coptree synth`` on data/synthetic_spec.json, with and without
   ``--seed 7``: stdout and the output CSV;
 - the exit code and stderr of runs that must fail: ``learn`` with
@@ -29,6 +31,10 @@ copies of the package then run the same cases in fresh interpreters:
   and ``synth`` on copies of the spec, written into the temporary
   directory, with one bad field each (the output CSV, which none of them
   may write, is compared too);
+- ``coptree learn`` with a --json file it can write and a --dot file in a
+  missing directory, and the reverse: the exit code, stderr and the
+  names of the files the run leaves in its directory, which must be none
+  of the destinations;
 - ``column_ranks`` (both tie modes) and ``weight_matrix`` ``values`` and
   ``signed`` (each measure) on a tied 4177 x 9, a tied 50000 x 16 and a
   tied 500 x 300 table, saved with ``np.save`` so dtype and shape are
@@ -153,6 +159,21 @@ def _learn(src: Path, work: Path, case: str, args) -> dict[str, bytes]:
     return outputs
 
 
+def _learn_unwritable(src: Path, work: Path, json_path: str, dot_path: str) -> bytes:
+    """Exit code, stdout and stderr of one ``coptree learn`` run with two
+    destinations, one of them in a missing directory, and the names of the
+    ``tree*`` files it leaves in ``work``.  The paths are relative to
+    ``work``, so stderr is the same whichever tree runs."""
+    run = _run(src, [
+        "-m", "coptree.cli", "learn", "--input", str(HOUSING),
+        "--json", json_path, "--dot", dot_path,
+    ], work)
+    left = sorted(p.name for p in work.iterdir() if p.name.startswith("tree"))
+    for name in left:
+        (work / name).unlink()
+    return run + f"files left: {left}\n".encode()
+
+
 def _synth(src: Path, work: Path, case: str, args) -> dict[str, bytes]:
     """stdout and output CSV bytes of one ``coptree synth`` run."""
     csv_path = work / "synth.csv"
@@ -223,6 +244,10 @@ def collect(src: Path, work: Path) -> dict[str, bytes]:
                 "-m", "coptree.cli", "measure", "--input", str(HOUSING),
                 "--pair", pair, "--measure", measure,
             ], work)
+            outputs[f"measure {pair} {measure} tie-seed 1 stdout"] = _run(src, [
+                "-m", "coptree.cli", "measure", "--input", str(HOUSING),
+                "--pair", pair, "--measure", measure, "--tie-seed", "1",
+            ], work)
     outputs.update(_synth(src, work, "synth", ["--spec", str(SPEC)]))
     outputs.update(_synth(src, work, "synth --seed 7",
                           ["--spec", str(SPEC), "--seed", "7"]))
@@ -230,6 +255,10 @@ def collect(src: Path, work: Path) -> dict[str, bytes]:
         outputs[f"learn {' '.join(flags)} stdout"] = _run(src, [
             "-m", "coptree.cli", "learn", "--input", str(HOUSING), *flags,
         ], work)
+    outputs["learn --dot in a missing directory"] = _learn_unwritable(
+        src, work, "tree.json", "missing/tree.dot")
+    outputs["learn --json in a missing directory"] = _learn_unwritable(
+        src, work, "missing/tree.json", "tree.dot")
     for label, change in BAD_SPEC_FIELDS.items():
         spec = work / "bad-spec.json"
         spec.write_text(json.dumps({**json.loads(SPEC.read_text()), **change}))

@@ -4,17 +4,21 @@ Exit codes: 0 success, 1 validation or I/O error, 2 a command-line usage
 error (argparse's: an unknown command or ``--measure`` choice, a missing
 required flag, a flag value of the wrong type) or an internal invariant
 violation.  All randomness flows from the --seed / --tie-seed flags.
+``learn`` and ``measure`` take their ranks and lattice order from
+``measures._learn_ranks``, so ``measure`` prints an entry of the matrix
+that ``learn`` spans.  ``learn`` writes its --json and --dot files all
+or none.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import generate_synthetic, load_synthetic_spec
-from .dataset import column_ranks, load_dataset
-from .empirical import _lattice_order
-from .measures import _scores
+from .dataset import load_dataset
+from .measures import _learn_ranks, _scores
 from .structure import DependenceTree, learn_structure
 
 __all__ = ["main", "build_parser", "tree_as_dict", "tree_as_dot"]
@@ -128,16 +132,49 @@ def cmd_learn(args: argparse.Namespace) -> int:
         tie_seed=args.tie_seed,
     )
     payload = json.dumps(tree_as_dict(tree), indent=2) + "\n"
-    dot = tree_as_dot(tree) if args.dot else None  # may refuse: write nothing yet
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    if dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
-    if not args.json and not args.dot:
+    outputs = [(args.json, payload)] if args.json else []
+    if args.dot:
+        outputs.append((args.dot, tree_as_dot(tree)))  # may refuse: write nothing yet
+    if outputs:
+        _write_all(outputs)
+    else:
         sys.stdout.write(payload)
     return 0
+
+
+def _write_all(outputs) -> None:
+    """Write each (path, text) pair of ``outputs``, all or none.
+
+    Each text goes to a new staging file beside its path, and the staging
+    files replace their paths only once every one is written; on any
+    error they are removed, so no destination is created or changed.  A
+    path that is a directory, which ``os.replace`` cannot replace, is
+    refused before anything is staged, and an error opening a staging
+    file names its destination.
+    """
+    staged = []
+    try:
+        for k, (path, text) in enumerate(outputs):
+            if os.path.isdir(path):
+                import errno
+
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            stage = f"{path}.{os.getpid()}-{k}.tmp"
+            try:
+                handle = open(stage, "x", encoding="utf-8")
+            except OSError as error:
+                error.filename = path
+                raise
+            staged.append(stage)
+            with handle:
+                handle.write(text)
+        for stage, (path, _) in zip(staged, outputs):
+            os.replace(stage, path)
+    except BaseException:
+        for stage in staged:
+            if os.path.exists(stage):
+                os.remove(stage)
+        raise
 
 
 def _header_cell(name: str, first: bool) -> str:
@@ -174,10 +211,9 @@ def cmd_measure(args: argparse.Namespace) -> int:
     i, j = sorted(data.column_index(name) for name in names)
     a, b = data.columns[i], data.columns[j]
     measure = _MEASURE_FLAGS[args.measure]
-    order = _lattice_order(args.lattice_order, data.sample_count)
     # rank the whole table once, as learn does, so a tied column takes
     # learn's tie order, and score the pair's two rank columns
-    ranks = column_ranks(data.values, "random", args.tie_seed)
+    ranks, order = _learn_ranks(data, args.lattice_order, args.tie_seed)
     value = _scores(ranks[:, [i, j]], measure, order)[0, 1]
     if measure == "rho_abs":
         sys.stdout.write(f"rho({a}, {b}) = {value:.6f}\n")

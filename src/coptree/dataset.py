@@ -12,6 +12,7 @@ re-checking them (:func:`_unchecked`).
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
 import os
 import re
@@ -332,10 +333,12 @@ def column_ranks(
     whose sorted values hold an equal neighbour (NaNs, which sort last,
     count as equal; so do -0.0 and 0.0) is sorted again on the distinct
     int64 key ``value code * T + tie position``: the value code is the
-    dense rank of the value, the tie position the row index ("stable") or
-    the row's position in the column's random permutation ("random").  Only
-    tied columns draw one, as rows of one ``Generator.permuted`` call per
-    block: the stream of one ``Generator.permutation(T)`` per tied column.
+    dense rank of the value, the tie position the row's position in the
+    column's tie permutation.  That permutation is the identity under
+    "stable", so the position is the row index, and a random one under
+    "random"; both modes then take the same path.  Only tied columns draw
+    one, as rows of one ``Generator.permuted`` call per block: the stream
+    of one ``Generator.permutation(T)`` per tied column.
     So the ranks equal those of a stable sort of each column, each tied
     column shuffled first under "random".
     """
@@ -344,9 +347,10 @@ def column_ranks(
         raise ValueError(f"values must be 2-D, got shape {values.shape}")
     if tie_break not in ("stable", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    rng = None
+    shuffle = np.asarray  # "stable": the identity, so ties keep their row order
     if tie_break == "random":
         rng = np.random.default_rng(_integer(tie_seed, "tie_seed", 0))
+        shuffle = functools.partial(rng.permuted, axis=1)
     t, n = values.shape
     ranks = np.empty((t, n), dtype=np.int64)
     positions = np.arange(1, t + 1, dtype=np.int64)
@@ -363,18 +367,15 @@ def column_ranks(
             code = np.zeros(rows.shape, dtype=np.int64)
             np.cumsum(rises[tied], axis=1, out=code[:, 1:])
             code *= t
-            if rng is None:
-                key = code + rows
-            else:
-                perm = rng.permuted(np.broadcast_to(np.arange(t), rows.shape), axis=1)
-                place = np.empty_like(perm)
-                np.put_along_axis(place, perm, positions - 1, axis=1)
-                key = code + np.take_along_axis(place, rows, axis=1)
+            perm = shuffle(np.broadcast_to(np.arange(t), rows.shape))
+            place = np.empty_like(perm)
+            np.put_along_axis(place, perm, positions - 1, axis=1)
+            key = code + np.take_along_axis(place, rows, axis=1)
             # the codes are already in order, so sorting the distinct keys
             # leaves them in place and orders each tie by its position
             key.sort(axis=1)
             key -= code
-            order[tied] = key if rng is None else np.take_along_axis(perm, key, axis=1)
+            order[tied] = np.take_along_axis(perm, key, axis=1)
         np.put_along_axis(ranks[:, lo : lo + width].T, order, positions, axis=1)
     return ranks
 

@@ -19,6 +19,8 @@ All three depend on ranks only.
 every entry point scores through it: :func:`weight_matrix` on the whole
 rank matrix, the single-pair functions on their two checked rank columns,
 and ``coptree measure`` on two columns of the ranks ``learn`` uses.
+:func:`_learn_ranks` is where ``learn`` ranks a table and resolves its
+lattice order, for :func:`weight_matrix` and ``coptree measure`` alike.
 rho_abs comes from one BLAS product R^T R of the float64 rank matrix
 (while every partial sum is an integer of at most 2^53, so it is exact
 and the same for any BLAS kernel or thread count; an exact int64 product
@@ -37,9 +39,9 @@ Those guarantees are why :func:`weight_matrix` builds its
 :class:`WeightMatrix` through ``dataset._unchecked``, without the
 constructor's checks, which stay for matrices from outside.  A
 :class:`WeightMatrix` stores the signed scores only; the spanning weight
-|s| is derived where it is read (``WeightMatrix.values`` for callers,
-:mod:`coptree.structure` row by row), so the learn path holds one N x N
-array.
+|s| is derived where it is read (``WeightMatrix.values`` for callers;
+in :mod:`coptree.structure`, Prim row by row and ``coverage_ratio`` on
+the upper triangle it gathers), so the learn path holds one N x N array.
 :class:`KernelDensity` is a standalone utility; no estimator uses it.
 
 The lattice rules live in :mod:`coptree.empirical`: this module takes
@@ -245,6 +247,17 @@ def _pair_score(rank_x, rank_y, measure: str, lattice_order: int = 0) -> float:
     return float(_scores(ranks, measure, _lattice_order(lattice_order, ranks.shape[0]))[0, 1])
 
 
+def _learn_ranks(data: Dataset, lattice_order, tie_seed) -> tuple[np.ndarray, int]:
+    """The ranks and the resolved lattice order that ``learn`` scores:
+    every column of ``data`` ranked with its ties in the seeded random
+    order of ``tie_seed``, and ``lattice_order`` resolved as in
+    :func:`weight_matrix` (0 picks ``default_lattice_order(T)``).  The
+    order is resolved first, so a bad order is reported before a bad
+    seed."""
+    order = _lattice_order(lattice_order, data.sample_count)
+    return column_ranks(data.values, "random", tie_seed), order
+
+
 def _log(x: np.ndarray) -> np.ndarray:
     """The natural log of every entry of a float64 array, each taken by
     ``math.log``: numpy picks its ``np.log`` kernel by CPU, and the bits
@@ -397,8 +410,8 @@ def weight_matrix(
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    lattice_order = _lattice_order(lattice_order, data.sample_count)
-    signed = _scores(column_ranks(data.values, "random", tie_seed), measure, lattice_order)
+    ranks, lattice_order = _learn_ranks(data, lattice_order, tie_seed)
+    signed = _scores(ranks, measure, lattice_order)
     signed.setflags(write=False)
     return _unchecked(WeightMatrix, names=data.columns, measure=measure,
                       lattice_order=lattice_order, signed=signed)

@@ -145,6 +145,32 @@ class TestLearn:
         assert not out.exists() and not dot.exists()
         assert main(["learn", "--input", str(path), "--json", str(out)]) == 0
 
+    @pytest.mark.parametrize("bad", ["--json", "--dot"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("unwritable, reason", [
+        ("missing/tree", "[Errno 2] No such file or directory"),
+        ("adir", "[Errno 21] Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_output_leaves_the_other_alone(self, toy_csv, tmp_path, capsys,
+                                                      bad, existing, unwritable, reason):
+        # learn writes its files all or none: one destination it cannot
+        # write leaves the other as it was, and no staging file behind
+        good = "--dot" if bad == "--json" else "--json"
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "adir").mkdir()
+        target, refused = out / "tree", tmp_path / unwritable
+        if existing:
+            target.write_bytes(b"before\n")
+        assert main(["learn", "--input", str(toy_csv), good, str(target),
+                     bad, str(refused)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}: '{refused}'\n"
+        assert [p.name for p in out.iterdir()] == (["tree"] if existing else [])
+        assert not existing or target.read_bytes() == b"before\n"
+        assert main(["learn", "--input", str(toy_csv), good, str(target),
+                     bad, str(out / "other")]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["other", "tree"]
+
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,x\n3,4\n")

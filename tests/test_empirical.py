@@ -207,13 +207,16 @@ class TestJointCounts:
         assert np.array_equal(counts, expected)
 
     def test_lattice_rules_are_shared(self):
-        # the MI measures and the CLI resolve lattice orders and margins
-        # with the same functions as the grids
+        # the MI measures resolve lattice orders and margins with the same
+        # functions as the grids, and the CLI takes its ranks and lattice
+        # order from learn's one rank step, with no lattice-order rule of
+        # its own
         from coptree import cli, measures
 
         for name in ("_lattice_order", "_margins", "_cell_indices", "_joint_counts"):
             assert getattr(measures, name) is getattr(empirical, name)
-        assert cli._lattice_order is empirical._lattice_order
+        assert cli._learn_ranks is measures._learn_ranks
+        assert [name for name in vars(cli) if "lattice_order" in name] == []
 
 
 class TestGridProperties:

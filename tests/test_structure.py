@@ -376,6 +376,31 @@ class TestLearnStructure:
         if measure == "rho_abs":
             assert any(edge.signed_value < 0.0 for edge in tree.edges)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_rho_follows_a_column_permutation(self, data):
+        """Permuting the columns of an untied table permutes the rho_abs
+        scores bit for bit, and both trees have the same sorted edge
+        weights: every maximum spanning tree has the same weight multiset,
+        so this holds even where weights tie exactly.  The MI measures are
+        left out: their weights can move in the last bit when the columns
+        are permuted (ROADMAP item 13a)."""
+        t = data.draw(st.integers(3, 400), label="T")
+        n = data.draw(st.integers(2, 11), label="N")
+        perm = data.draw(st.permutations(range(n)), label="column permutation")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.standard_normal((t, n)) @ np.triu(rng.standard_normal((n, n)))
+        # untied, so no column draws a tie order that depends on its position
+        assert all(len(np.unique(column)) == t for column in values.T)
+        names = tuple(f"c{j}" for j in range(n))
+        table = Dataset(columns=names, values=values)
+        moved = Dataset(columns=tuple(names[j] for j in perm), values=values[:, perm])
+        signed = weight_matrix(table, "rho_abs").signed[np.ix_(perm, perm)]
+        assert weight_matrix(moved, "rho_abs").signed.tobytes() == signed.tobytes()
+        weights = [sorted(e.weight for e in learn_structure(d, "rho_abs").edges)
+                   for d in (table, moved)]
+        assert weights[0] == weights[1]
+
 
 def _bits(tree):
     """A tree's fields, each float by its exact bits (float.hex)."""
