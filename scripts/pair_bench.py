@@ -81,7 +81,10 @@ def main(argv=None) -> int:
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
+            # extraction filters reached 3.10.12 and 3.11.4; older
+            # interpreters unpack this archive of the repository unfiltered
+            filters = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+            tar.extractall(tmp, **filters)
         trees = {"ref": Path(tmp), "new": ROOT}
         for pair in range(args.pairs):
             sides = ("ref", "new") if pair % 2 == 0 else ("new", "ref")

@@ -6,8 +6,8 @@ required flag, a flag value of the wrong type) or an internal invariant
 violation.  All randomness flows from the --seed / --tie-seed flags.
 ``learn`` and ``measure`` take their ranks and lattice order from
 ``measures._learn_ranks``, so ``measure`` prints an entry of the matrix
-that ``learn`` spans.  ``learn`` writes its --json and --dot files all
-or none.
+that ``learn`` spans.  ``learn`` opens its --json and --dot files before
+it writes either, so one it cannot open leaves the other as it was.
 """
 from __future__ import annotations
 
@@ -143,38 +143,23 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _write_all(outputs) -> None:
-    """Write each (path, text) pair of ``outputs``, all or none.
-
-    Each text goes to a new staging file beside its path, and the staging
-    files replace their paths only once every one is written; on any
-    error they are removed, so no destination is created or changed.  A
-    path that is a directory, which ``os.replace`` cannot replace, is
-    refused before anything is staged, and an error opening a staging
-    file names its destination.
-    """
-    staged = []
+    """Write each (path, text) pair of ``outputs``, opening every path
+    before writing any: one that cannot be opened leaves the others as
+    they were, and the files this check created are removed."""
+    created = []
     try:
-        for k, (path, text) in enumerate(outputs):
-            if os.path.isdir(path):
-                import errno
-
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            stage = f"{path}.{os.getpid()}-{k}.tmp"
-            try:
-                handle = open(stage, "x", encoding="utf-8")
-            except OSError as error:
-                error.filename = path
-                raise
-            staged.append(stage)
-            with handle:
-                handle.write(text)
-        for stage, (path, _) in zip(staged, outputs):
-            os.replace(stage, path)
-    except BaseException:
-        for stage in staged:
-            if os.path.exists(stage):
-                os.remove(stage)
+        for path, _ in outputs:
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(os.path.realpath(path))  # a symlink's new target
+    except OSError:
+        for path in created:
+            os.remove(path)
         raise
+    for path, text in outputs:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _header_cell(name: str, first: bool) -> str:

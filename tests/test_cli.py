@@ -153,8 +153,8 @@ class TestLearn:
     ], ids=["missing-directory", "directory"])
     def test_unwritable_output_leaves_the_other_alone(self, toy_csv, tmp_path, capsys,
                                                       bad, existing, unwritable, reason):
-        # learn writes its files all or none: one destination it cannot
-        # write leaves the other as it was, and no staging file behind
+        # learn opens both destinations before it writes either: one it
+        # cannot open leaves the other as it was, and leaves no file behind
         good = "--dot" if bad == "--json" else "--json"
         out = tmp_path / "out"
         out.mkdir()
@@ -170,6 +170,36 @@ class TestLearn:
         assert main(["learn", "--input", str(toy_csv), good, str(target),
                      bad, str(out / "other")]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["other", "tree"]
+
+    def test_outputs_are_written_in_place(self, toy_csv, tmp_path):
+        # a symlink is written through, an existing file keeps its inode
+        # (so its hard links) and mode, and an existing file in a
+        # directory that takes no new entries is still written
+        store = tmp_path / "store"
+        store.mkdir()
+        target, dot = store / "tree.json", store / "tree.dot"
+        for path in (target, dot):
+            path.write_bytes(b"before\n")
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        store.chmod(0o555)
+        try:
+            assert main(["learn", "--input", str(toy_csv), "--json", str(link),
+                         "--dot", str(dot)]) == 0
+        finally:
+            store.chmod(0o755)
+        assert link.is_symlink() and json.loads(target.read_text())["nodes"]
+        assert target.stat().st_ino == inode and target.stat().st_mode & 0o777 == 0o640
+        assert dot.read_text().startswith("graph deptree {")
+
+    def test_refusal_removes_what_a_dangling_link_created(self, toy_csv, tmp_path):
+        link, target = tmp_path / "link.json", tmp_path / "target.json"
+        link.symlink_to(target)
+        assert main(["learn", "--input", str(toy_csv), "--json", str(link),
+                     "--dot", str(tmp_path / "missing" / "tree.dot")]) == 1
+        assert link.is_symlink() and not target.exists()
 
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
