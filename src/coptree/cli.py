@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 validation or I/O error, 2 a command-line usage
 error (argparse's: an unknown command or ``--measure`` choice, a missing
 required flag, a flag value of the wrong type) or an internal invariant
 violation.  All randomness flows from the --seed / --tie-seed flags.
+--tie-seed keys the package's own SplitMix64 tie order (the same on every
+numpy version and CPU, the seed used mod 2^64), so ``learn`` and
+``measure`` never import ``numpy.random``; only ``synth`` draws from it.
 ``learn`` and ``measure`` take their ranks and lattice order from
 ``measures._learn_ranks``, so ``measure`` prints an entry of the matrix
 that ``learn`` spans.  ``learn`` opens its --json and --dot files before

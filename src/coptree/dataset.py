@@ -12,7 +12,6 @@ re-checking them (:func:`_unchecked`).
 from __future__ import annotations
 
 import csv
-import functools
 import numbers
 import os
 import re
@@ -31,6 +30,11 @@ __all__ = [
 # Elements per block of column_ranks: bounds the (columns x T) order, key
 # and permutation blocks it sorts at once.
 _MAX_RANK_BLOCK_CELLS = 2**16
+
+# SplitMix64 (Steele, Lea & Flood 2014): the counter step (the golden
+# ratio times 2^64) and the two multipliers of the output mix.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 # A byte that is not valid UTF-8 decodes, under errors="surrogateescape",
 # to one of these lone surrogates.
@@ -319,7 +323,8 @@ def column_ranks(
         ordering induces between heavily tied columns.  Columns without
         ties get identical ranks under both modes and draw nothing.
     tie_seed : int
-        Seed for the "random" mode, an integer >= 0; ignored for "stable".
+        Seed for the "random" mode, an integer >= 0 used mod 2^64;
+        ignored for "stable".
 
     Returns
     -------
@@ -336,9 +341,12 @@ def column_ranks(
     dense rank of the value, the tie position the row's position in the
     column's tie permutation.  That permutation is the identity under
     "stable", so the position is the row index, and a random one under
-    "random"; both modes then take the same path.  Only tied columns draw
-    one, as rows of one ``Generator.permuted`` call per block: the stream
-    of one ``Generator.permutation(T)`` per tied column.
+    "random" (:func:`_tie_orders`); both modes then take the same path.
+    A random order sorts the rows by SplitMix64 keys of (``tie_seed`` mod
+    2^64, the column's ordinal among the tied columns, counted left to
+    right, and the row), so only tied columns draw one, and the same seed
+    gives the same ranks on every numpy version and CPU; seeds 0 and 2^64
+    give one order.
     So the ranks equal those of a stable sort of each column, each tied
     column shuffled first under "random".
     """
@@ -347,10 +355,8 @@ def column_ranks(
         raise ValueError(f"values must be 2-D, got shape {values.shape}")
     if tie_break not in ("stable", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    shuffle = np.asarray  # "stable": the identity, so ties keep their row order
-    if tie_break == "random":
-        rng = np.random.default_rng(_integer(tie_seed, "tie_seed", 0))
-        shuffle = functools.partial(rng.permuted, axis=1)
+    seed = _integer(tie_seed, "tie_seed", 0) if tie_break == "random" else None
+    drawn = 0  # tied columns ranked so far: the ordinal of the next one
     t, n = values.shape
     ranks = np.empty((t, n), dtype=np.int64)
     positions = np.arange(1, t + 1, dtype=np.int64)
@@ -367,7 +373,10 @@ def column_ranks(
             code = np.zeros(rows.shape, dtype=np.int64)
             np.cumsum(rises[tied], axis=1, out=code[:, 1:])
             code *= t
-            perm = shuffle(np.broadcast_to(np.arange(t), rows.shape))
+            # the identity under "stable", so ties keep their row order
+            perm = (np.broadcast_to(np.arange(t), rows.shape) if seed is None
+                    else _tie_orders(seed, np.arange(drawn, drawn + len(rows)), t))
+            drawn += len(rows)
             place = np.empty_like(perm)
             np.put_along_axis(place, perm, positions - 1, axis=1)
             key = code + np.take_along_axis(place, rows, axis=1)
@@ -379,3 +388,30 @@ def column_ranks(
         np.put_along_axis(ranks[:, lo : lo + width].T, order, positions, axis=1)
     return ranks
 
+
+def _tie_orders(seed: int, ordinals: np.ndarray, t: int) -> np.ndarray:
+    """The random tie permutations of ``column_ranks``: row i is the order
+    of the rows of the tied column with ordinal ``ordinals[i]``, shape
+    (len(ordinals), t), int64.
+
+    Row r of the tied column with ordinal k is keyed by the SplitMix64 mix
+    of the counter ``seed + (k*t + r + 1) * 0x9E3779B97F4A7C15`` mod 2^64
+    (Salmon et al. 2011's counter-based use of the generator), so its key
+    is output number k*t + r + 1 of SplitMix64 seeded with ``seed``.  The
+    low ``max(1, (t-1).bit_length())`` bits of each key are replaced by r,
+    which makes the keys distinct; the rows in ascending key order are the
+    permutation.  Every operand is ``np.uint64``, which wraps mod 2^64.
+    """
+    low = np.uint64((1 << max(1, (t - 1).bit_length())) - 1)
+    key = ordinals.astype(np.uint64)[:, None] * np.uint64(t) + np.arange(1, t + 1, dtype=np.uint64)
+    key *= _GOLDEN
+    key += np.uint64(seed % 2**64)
+    key ^= key >> np.uint64(30)
+    key *= _MIX[0]
+    key ^= key >> np.uint64(27)
+    key *= _MIX[1]
+    key ^= key >> np.uint64(31)
+    key &= ~low
+    key |= np.arange(t, dtype=np.uint64)
+    key.sort(axis=1)
+    return (key & low).astype(np.int64)

@@ -387,10 +387,12 @@ def weight_matrix(
         recorded in the result for every measure, though rho_abs does not
         use it (rho always uses the full order-T lattice).
     tie_seed : int
-        Seed of the random tie order, see
+        Seed of the random tie order, an integer >= 0 used mod 2^64, see
         :func:`coptree.dataset.column_ranks`: ties are always broken at
         random, since row-stable ordinal ranks let two heavily tied
         columns inherit spurious dependence from shared row ordering.
+        The order is SplitMix64 keyed by (seed, tied-column ordinal, row),
+        the same on every numpy version and CPU.
 
     Every measure is scored by :func:`_scores`: rho_abs takes every
     pair's rank-product sum from one product of the rank matrix with

@@ -224,7 +224,10 @@ def learn_structure(
     the tree without re-running its checks.  Fully
     deterministic for fixed inputs; exactly invariant under strictly
     increasing per-column transformations of the data for every measure,
-    since each depends on the ranks only.
+    since each depends on the ranks only.  ``tie_seed`` fixes the random
+    tie order as in :func:`coptree.measures.weight_matrix`: SplitMix64
+    keyed by (``tie_seed`` mod 2^64, tied-column ordinal, row), the same
+    on every numpy version and CPU.
     """
     w = weight_matrix(data, measure, lattice_order, tie_seed)
     tree = maximum_spanning_tree(w)

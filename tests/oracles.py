@@ -212,19 +212,40 @@ def literal_column_ranks(
         raise ValueError(f"tie_seed must be >= 0, got {tie_seed}")
     t, n = values.shape
     ranks = np.empty((t, n), dtype=np.int64)
-    rng = np.random.default_rng(tie_seed) if tie_break == "random" else None
     positions = np.arange(1, t + 1, dtype=np.int64)
+    drawn = 0  # tied columns seen so far
     for j in range(n):
         # np.unique counts NaNs as one value and -0.0 as 0.0
-        if rng is not None and np.unique(values[:, j]).size < t:
+        if tie_break == "random" and np.unique(values[:, j]).size < t:
             # Shuffle rows first so equal values end up in random order;
             # distinct values are unaffected by the reshuffle.
-            perm = rng.permutation(t)
+            perm = literal_tie_order(tie_seed, drawn, t)
+            drawn += 1
             order = perm[np.argsort(values[perm, j], kind="stable")]
         else:
             order = np.argsort(values[:, j], kind="stable")
         ranks[order, j] = positions
     return ranks
+
+
+def splitmix64(counter: int) -> int:
+    """The SplitMix64 output mix of a 64-bit counter, in Python integers."""
+    z = counter % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def literal_tie_order(tie_seed: int, ordinal: int, t: int) -> np.ndarray:
+    """The random tie order of the tied column with this ordinal: its rows
+    sorted by their keys, the SplitMix64 mix of seed + (ordinal*t + r + 1)
+    times the golden-ratio step, each with its low bits replaced by r."""
+    low = (1 << max(1, (t - 1).bit_length())) - 1
+    keys = [
+        (splitmix64(tie_seed + (ordinal * t + r + 1) * 0x9E3779B97F4A7C15) & ~low) | r
+        for r in range(t)
+    ]
+    return np.array(sorted(range(t), key=keys.__getitem__), dtype=np.int64)
 
 
 def gaussian_spearman(theta: float) -> float:

@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import warnings
 from unittest import mock
 
@@ -26,7 +27,7 @@ from coptree import (
 )
 from coptree import dataset
 from coptree.dataset import _header, _loadtxt_body, _parse_csv
-from oracles import literal_column_ranks
+from oracles import literal_column_ranks, literal_tie_order, splitmix64
 
 
 def make_dataset(values, names=None):
@@ -554,21 +555,51 @@ class TestBlockRanks:
             assert np.array_equal(column_ranks(values, tie_break, tie_seed),
                                   literal_column_ranks(values, tie_break, tie_seed))
 
-    @pytest.mark.parametrize("k, t", [(300, 500), (16, 50000), (3, 7)])
-    def test_permuted_rows_are_successive_permutations(self, k, t):
-        # column_ranks draws a block's tie orders with one Generator.permuted
-        # call, which must take the stream of one permutation per column
-        rows = np.random.default_rng(4).permuted(np.broadcast_to(np.arange(t), (k, t)), axis=1)
-        rng = np.random.default_rng(4)
-        assert np.array_equal(rows, [rng.permutation(t) for _ in range(k)])
+    def test_tie_orders_follow_the_published_splitmix64_vector(self):
+        # SplitMix64 seeded with 1234567: the reference generator's first
+        # five outputs, which key rows 0-4 of the tied column with ordinal 0
+        outputs = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                   4593380528125082431, 16408922859458223821]
+        assert [splitmix64(1234567 + i * 0x9E3779B97F4A7C15) for i in range(1, 6)] == outputs
+        # their low 3 bits replaced by the row, in ascending key order
+        assert sorted(range(5), key=lambda r: (outputs[r] & ~7) | r) == [1, 3, 0, 2, 4]
+        orders = dataset._tie_orders(1234567, np.array([0]), 5)
+        assert orders.dtype == np.int64
+        assert orders.tolist() == [[1, 3, 0, 2, 4]]
+        # the seed is used mod 2^64
+        assert np.array_equal(dataset._tie_orders(1234567 + 2**64, np.array([0]), 5), orders)
+
+    @pytest.mark.parametrize("t", [2, 8, 9, 300])
+    def test_tie_orders_match_the_literal_keys(self, t):
+        # counters and seeds near 2^64 wrap in uint64 as in Python integers
+        ordinals = np.array([0, 1, 5, 2**40, 2**63 // t])
+        for tie_seed in (0, 3, 2**64 - 1, 2**64 + 3, 2**70):
+            assert np.array_equal(
+                dataset._tie_orders(tie_seed, ordinals, t),
+                [literal_tie_order(tie_seed, int(k), t) for k in ordinals])
+
+    def test_tie_orders_are_uniform_over_seeds(self):
+        # 4800 seeds of a 4 x 2 all-tied table: each of the 24 orders of
+        # column 0 and each of the 16 joint first ranks of the two columns
+        # should take a uniform share; the bounds sit near the 0.1% upper
+        # quantiles of chi-square with 23 and 15 degrees of freedom
+        orders, firsts = np.zeros(24), np.zeros(16)
+        codes = {order: i for i, order in enumerate(itertools.permutations(range(1, 5)))}
+        for tie_seed in range(4800):
+            ranks = column_ranks(np.zeros((4, 2)), "random", tie_seed)
+            orders[codes[tuple(ranks[:, 0].tolist())]] += 1
+            firsts[4 * (ranks[0, 0] - 1) + ranks[0, 1] - 1] += 1
+        assert np.all(orders > 0)
+        assert np.sum((orders - 200) ** 2 / 200) < 49.7
+        assert np.sum((firsts - 300) ** 2 / 300) < 37.7
 
     @pytest.mark.parametrize("tie_seed, digest", [
-        (0, "aabd987cf0103ff803824e027e1e2b1bc0e71741f0833bb8f5ee8ee05f642ac5"),
-        (1, "052e90223fa91f430cffe7db853d9294de1fb9c70b55a4961126d7fef37881b1"),
+        pytest.param(0, "5802ab47ae7b9fc5ee9b56f8b47fb5140d9dbadf3c4f9c8885efd0f18640aecb", id="0"),
+        pytest.param(1, "f14ffc794750db6b18c998b7ede59d62e543f834ebcef7bb9d3221e911198851", id="1"),
     ])
     def test_random_tie_stream_is_pinned(self, housing, tie_seed, digest):
-        # a numpy release that moves the permutation stream changes every
-        # randomized result; this fails loudly when it does
+        # the package's own tie order (SplitMix64 keys) must not move: a
+        # change to it changes every randomized result, and fails here
         ranks = column_ranks(housing.values, "random", tie_seed)
         assert hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest() == digest
 
@@ -580,7 +611,7 @@ class TestBlockRanks:
                                   np.sqrt(rows), (rows * rows) % 5])
         ranks = column_ranks(values, "random", 0)
         assert (hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest()
-                == "5351876d89c5d1433a033f7ba3ed36d5c3794fc2d03dcb3653efef37c7a17690")
+                == "5ed7a934a95768f502bf42bae1d24d7ee6e8711fcf30bc609d4f8da8509d44bb")
 
 
 def _spec(samples=10, seed=0, variable=2):

@@ -128,10 +128,11 @@ class TestMutualInfoCell:
             assert abs(forward - backward) < 1e-12
 
     def test_table_order_is_exact_and_swapped_order_agrees_to_rounding(self):
-        # a tied table with margins 2, 2, 3: the transposed grid sums in
+        # a table with margins 2, 2, 3: the transposed grid sums in
         # another order, which here moves the last bit; in table order the
-        # weight_matrix entry is matched bit for bit
-        table = np.ones((7, 2))
+        # weight_matrix entry is matched bit for bit.  The table is untied,
+        # so its ranks are itself under any tie seed
+        table = np.array([[6, 6], [7, 5], [1, 2], [3, 7], [2, 3], [5, 1], [4, 4]], float)
         r = column_ranks(table, "random", 0)
         forward = mutual_info_cell(r[:, 0], r[:, 1], 3)
         backward = mutual_info_cell(r[:, 1], r[:, 0], 3)

@@ -1,4 +1,5 @@
-"""Startup cost: rank-only commands never load scipy, and synth still works.
+"""Startup cost: rank-only commands never load scipy or numpy's RNG package,
+and synth still works.
 
 Each check runs in a fresh interpreter, because the test session itself
 imports scipy (``test_algebra`` does).
@@ -33,13 +34,17 @@ import coptree
 import coptree.cli
 from coptree import cli
 assert "scipy" not in sys.modules, "import"
+assert "numpy.random" not in sys.modules, "import"
 assert cli.main(["learn", "--input", {str(HOUSING)!r}, "--json", "tree.json",
                  "--dot", "tree.dot"]) == 0
+assert "numpy.random" not in sys.modules, "learn"
 assert cli.main(["learn", "--input", {str(HOUSING)!r}, "--measure", "rho",
                  "--json", "rho.json"]) == 0
+assert "numpy.random" not in sys.modules, "learn --measure rho"
 for measure in ("rho", "mi-cell"):
     assert cli.main(["measure", "--input", {str(HOUSING)!r}, "--pair", "medv,lstat",
                      "--measure", measure]) == 0
+    assert "numpy.random" not in sys.modules, measure
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
     proc = run_fresh(code, tmp_path)
