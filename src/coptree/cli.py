@@ -10,7 +10,8 @@ numpy version and CPU, the seed used mod 2^64), so ``learn`` and
 ``learn`` and ``measure`` take their ranks and lattice order from
 ``measures._learn_ranks``, so ``measure`` prints an entry of the matrix
 that ``learn`` spans.  ``learn`` opens its --json and --dot files before
-it writes either, so one it cannot open leaves the other as it was.
+it writes either, so one it cannot open leaves the other as it was, and
+refuses a --json and --dot that resolve to one file before it opens any.
 """
 from __future__ import annotations
 
@@ -127,6 +128,8 @@ def tree_as_dot(tree: DependenceTree) -> str:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    if args.json and args.dot and os.path.realpath(args.json) == os.path.realpath(args.dot):
+        raise ValueError(f"--json and --dot name the same file: {args.json}")
     data = load_dataset(args.input)
     tree = learn_structure(
         data,

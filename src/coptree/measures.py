@@ -29,11 +29,16 @@ the MI measures from one cell-counting pass per column, each block of
 integer cell counts scored by looking its cells' terms n ln(n T / d) up
 in one table per (T, K) (:func:`_mi_terms`).  Each term's ratio is one
 division of two integers, exact in float64 while T^2 <= 2^53, so an
-exactly independent grid scores exactly 0.  Every log on the MI path,
-the table's and the ``mi_kde`` gap's, is taken by ``math.log`` (see
-:func:`_log`), never by ``np.log``, whose kernel numpy picks by CPU, so
-the MI weights have the same bits whichever targets numpy dispatches to;
-whether ``math.log`` agrees across libm builds is not checked.
+exactly independent grid scores exactly 0.  Each MI weight is the sum of
+its pair's K^2 cell terms in ascending order, over T: a function of the
+multiset of its cells alone, so swapping the two columns, permuting the
+table's columns or (when K | T) reflecting a column, r -> T + 1 - r,
+leaves its bits as they were, and two pairs whose grids hold one
+multiset tie exactly.  Every log on the MI path, the table's and the
+``mi_kde`` gap's, is taken by ``math.log`` (see :func:`_log`), never by
+``np.log``, whose kernel numpy picks by CPU, so the MI weights have the
+same bits whichever targets numpy dispatches to; whether ``math.log``
+agrees across libm builds is not checked.
 A pair's score does not depend on the other columns scored with it.
 Those guarantees are why :func:`weight_matrix` builds its
 :class:`WeightMatrix` through ``dataset._unchecked``, without the
@@ -142,12 +147,11 @@ def mutual_info_cell(rank_x, rank_y, lattice_order: int) -> float:
     sum_ij m_ij * ln(m_ij / (m_i. * m_.j)) with 0 ln 0 := 0, where the
     margins m_i., m_.j are the grid's row and column sums (the same fixed
     vector for every rank column, see ``_mi_weights``).  Nonnegative (it
-    is a KL divergence).  Given two rank columns in table order it equals
-    the :func:`weight_matrix` entry bit for bit; swapping the arguments
-    transposes the grid, so the sum runs in another order and agrees only
-    to rounding (it can differ in the last bit).  Each cell's log is
-    taken by ``math.log``, so the result has the same bits whichever CPU
-    targets numpy dispatches to.
+    is a KL divergence).  The cell terms are summed in ascending order, so
+    given two rank columns in either order it equals the
+    :func:`weight_matrix` entry bit for bit.  Each cell's log is taken by
+    ``math.log``, so the result has the same bits whichever CPU targets
+    numpy dispatches to.
 
     Note: the estimator carries an upward bias of roughly
     (K-1)^2 / (2T) nats at independence; keep K well below sqrt(T)
@@ -292,9 +296,11 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     has the margins m of ``empirical._margins``, each low = T // K or
     low + 1, so cell (a, b) finds its term n_ab ln(n_ab T / (m_a m_b)) in
     the :func:`_mi_terms` table at n_ab + base_ab, where base_ab is
-    (m_a + m_b - 2 low)(low + 2).  Each pair's MI is the sum of its K x K
-    terms over T.  An exactly independent grid has every ratio exactly 1
-    and an MI of exactly 0.0.
+    (m_a + m_b - 2 low)(low + 2).  Each pair's MI is the sum of its K^2
+    terms in ascending order, over T, so it depends on the multiset of its
+    cells only, not on which column is i or where the cells lie.  An
+    exactly independent grid has every ratio exactly 1 and an MI of
+    exactly 0.0.
     """
     t, n = ranks.shape
     cells = _cell_indices(ranks, order).T.copy()
@@ -309,7 +315,7 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
         for lo in range(i + 1, n, width):
             flat = cells[lo : lo + width] + cells[i] * order
             index = _joint_counts(flat, area) + base
-            values[i, lo : lo + width] = terms[index].reshape(-1, order, order).sum(axis=(1, 2)) / t
+            values[i, lo : lo + width] = np.sort(terms[index], axis=1).sum(axis=1) / t
             values[lo : lo + width, i] = values[i, lo : lo + width]
     return values
 
@@ -399,7 +405,7 @@ def weight_matrix(
     itself, exact up to T = 3,024,616 and a rounded float64 sum above
     (see :func:`_rho_matrix`); the MI measures count the cells
     of every pair in one pass per column (see :func:`_mi_weights`).  So
-    the single-pair functions, given two of its rank columns in table
+    the single-pair functions, given two of its rank columns in either
     order, return its entries bit for bit.
 
     The result is deterministic for fixed inputs and independent of the

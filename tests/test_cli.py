@@ -201,6 +201,25 @@ class TestLearn:
                      "--dot", str(tmp_path / "missing" / "tree.dot")]) == 1
         assert link.is_symlink() and not target.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("alias", ["same-path", "symlink"])
+    def test_one_file_for_both_outputs_is_refused(self, toy_csv, tmp_path, capsys,
+                                                  alias, existing):
+        # the DOT would overwrite the JSON: refused before either is opened
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "tree"
+        other = path if alias == "same-path" else tmp_path / "link"
+        if alias == "symlink":
+            other.symlink_to(path)
+        if existing:
+            path.write_bytes(b"before\n")
+        assert main(["learn", "--input", str(toy_csv), "--json", str(path),
+                     "--dot", str(other)]) == 1
+        assert capsys.readouterr().err == f"error: --json and --dot name the same file: {path}\n"
+        assert [p.name for p in out.iterdir()] == (["tree"] if existing else [])
+        assert not existing or path.read_bytes() == b"before\n"
+
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,x\n3,4\n")

@@ -125,21 +125,32 @@ class TestMutualInfoCell:
             forward = mutual_info_cell(rx, ry, order)
             backward = mutual_info_cell(ry, rx, order)
             assert forward >= 0.0
-            assert abs(forward - backward) < 1e-12
+            assert forward == backward
 
-    def test_table_order_is_exact_and_swapped_order_agrees_to_rounding(self):
-        # a table with margins 2, 2, 3: the transposed grid sums in
-        # another order, which here moves the last bit; in table order the
-        # weight_matrix entry is matched bit for bit.  The table is untied,
-        # so its ranks are itself under any tie seed
+    def test_either_order_scores_the_matrix_entry(self):
+        # a table with margins 2, 2, 3, whose transposed grid lists its
+        # cells in another order: summed in ascending order, both orders
+        # give the weight_matrix entry.  The table is untied, so its ranks
+        # are itself under any tie seed
         table = np.array([[6, 6], [7, 5], [1, 2], [3, 7], [2, 3], [5, 1], [4, 4]], float)
         r = column_ranks(table, "random", 0)
         forward = mutual_info_cell(r[:, 0], r[:, 1], 3)
         backward = mutual_info_cell(r[:, 1], r[:, 0], 3)
         w = weight_matrix(Dataset(columns=("a", "b"), values=table), "mi_cell", 3)
-        assert forward == w.signed[0, 1] == 0.410116318288409
-        assert backward == 0.41011631828840905
-        assert abs(forward - backward) <= 1e-15
+        assert forward == backward == w.signed[0, 1] == 0.410116318288409
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_swapped_and_reflected_pairs_score_one_value(self, data):
+        # with K | T every margin is T / K, so reflecting a rank column,
+        # r -> T + 1 - r, reverses its cells: the given, the swapped and
+        # the reflected grid hold one multiset of cells
+        order = data.draw(st.integers(2, 12), label="K")
+        t = order * data.draw(st.integers(1, 40), label="T / K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x, y = rng.permutation(t) + 1, rng.permutation(t) + 1
+        forward = mutual_info_cell(x, y, order)
+        assert forward == mutual_info_cell(y, x, order) == mutual_info_cell(x, t + 1 - y, order)
 
     def test_order_validation(self):
         ranks = np.arange(1, 9)
@@ -672,7 +683,7 @@ class TestMiBitsOnEveryCpu:
             np.add.at(counts, (cells[:, i], cells[:, j]), 1)
             terms = np.array([[c * math.log(c * t / (margin[a] * margin[b])) if c else 0.0
                                for b, c in enumerate(row)] for a, row in enumerate(counts.tolist())])
-            assert w.signed[i, j] == terms[np.newaxis].sum(axis=(1, 2))[0] / t
+            assert w.signed[i, j] == np.sort(terms.ravel()).sum() / t
 
     def test_mi_kde_gap_takes_its_logs_from_math_log(self):
         # at T = 59, K = 3 an AVX-512 np.log moves the gap's last bits
@@ -837,10 +848,7 @@ class TestScores:
         pair = measures._scores(ranks[:, sorted((i, j))], measure, order)
         assert pair[0, 1] == pair[1, 0] == entry
         assert pair[0, 0] == pair[1, 1] == 0.0
-        # the other column order transposes each MI grid, whose cells are
-        # then summed in another order: equal up to rounding, not bit for bit
+        # the other column order transposes each MI grid, which holds the
+        # same multiset of cells, so it scores the same bits
         swapped = measures._scores(ranks[:, sorted((i, j), reverse=True)], measure, order)
-        if measure == "rho_abs":
-            assert swapped[0, 1] == entry
-        else:
-            assert abs(swapped[0, 1] - entry) <= 1e-14
+        assert swapped[0, 1] == entry

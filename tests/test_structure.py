@@ -12,6 +12,7 @@ from coptree import (
     DependenceTree,
     TreeEdge,
     WeightMatrix,
+    column_ranks,
     coverage_ratio,
     learn_structure,
     maximum_spanning_tree,
@@ -376,15 +377,14 @@ class TestLearnStructure:
         if measure == "rho_abs":
             assert any(edge.signed_value < 0.0 for edge in tree.edges)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=240, deadline=None)
     @given(st.data())
-    def test_rho_follows_a_column_permutation(self, data):
-        """Permuting the columns of an untied table permutes the rho_abs
-        scores bit for bit, and both trees have the same sorted edge
-        weights: every maximum spanning tree has the same weight multiset,
-        so this holds even where weights tie exactly.  The MI measures are
-        left out: their weights can move in the last bit when the columns
-        are permuted (ROADMAP item 13a)."""
+    def test_every_measure_follows_a_column_permutation(self, data):
+        """Permuting the columns of an untied table permutes every
+        measure's scores bit for bit, and both trees have the same sorted
+        edge weights: every maximum spanning tree has the same weight
+        multiset, so this holds even where weights tie exactly."""
+        measure = data.draw(st.sampled_from(MEASURES), label="measure")
         t = data.draw(st.integers(3, 400), label="T")
         n = data.draw(st.integers(2, 11), label="N")
         perm = data.draw(st.permutations(range(n)), label="column permutation")
@@ -395,11 +395,28 @@ class TestLearnStructure:
         names = tuple(f"c{j}" for j in range(n))
         table = Dataset(columns=names, values=values)
         moved = Dataset(columns=tuple(names[j] for j in perm), values=values[:, perm])
-        signed = weight_matrix(table, "rho_abs").signed[np.ix_(perm, perm)]
-        assert weight_matrix(moved, "rho_abs").signed.tobytes() == signed.tobytes()
-        weights = [sorted(e.weight for e in learn_structure(d, "rho_abs").edges)
+        signed = weight_matrix(table, measure).signed[np.ix_(perm, perm)]
+        assert weight_matrix(moved, measure).signed.tobytes() == signed.tobytes()
+        weights = [sorted(e.weight for e in learn_structure(d, measure).edges)
                    for d in (table, moved)]
         assert weights[0] == weights[1]
+
+    @pytest.mark.parametrize("measure", ["mi_cell", "mi_kde"])
+    def test_reflected_column_ties_and_the_index_rule_decides(self, measure):
+        # z = T + 1 - y reverses y's cells (K = 5 divides T = 500), so x-y
+        # and x-z score one value and the lexicographic rule picks x-y
+        t = 500
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(t)
+            y = x + rng.standard_normal(t)
+            ranks = column_ranks(np.column_stack([x, y]), "stable")
+            values = np.column_stack([ranks, t + 1 - ranks[:, 1]]).astype(float)
+            data = Dataset(columns=("x", "y", "z"), values=values)
+            w = weight_matrix(data, measure, 5)
+            assert w.signed[0, 1] == w.signed[0, 2]
+            tree = learn_structure(data, measure, 5)
+            assert tree.edge_pairs() == {("x", "y"), ("y", "z")}
 
 
 def _bits(tree):
