@@ -54,9 +54,10 @@ copies of the package then run the same cases in fresh interpreters:
 Prints one line per differing case and a summary; exits 1 if any case
 differs, 0 if none does, and 2 if REF cannot be unpacked or the array
 cases fail to run.  A differing ``.npy`` line gives the largest absolute
-difference of its values; a differing ``*-tree.txt`` or ``learn ... json``
-line says whether the edge list (names and join order) is unchanged and,
-if so, the largest absolute difference of its numbers.
+difference of its values, or says that its values keep their bits and
+only the header or memory layout moved; a differing ``*-tree.txt`` or
+``learn ... json`` line says whether the edge list (names and join order)
+is unchanged and, if so, the largest absolute difference of its numbers.
 """
 from __future__ import annotations
 
@@ -294,6 +295,8 @@ def change(name: str, ref: bytes | None, new: bytes | None) -> str:
             a, b = np.load(io.BytesIO(ref)), np.load(io.BytesIO(new))
             if a.shape != b.shape or a.dtype != b.dtype:
                 return " (shape or dtype changed)"
+            if a.tobytes() == b.tobytes():  # both in C order
+                return " (same values; .npy header or layout differs)"
             diff = np.abs(a.astype(float) - b.astype(float)).max(initial=0.0)
             return f" (max abs difference {diff:.2g})"
         if name.endswith("-tree.txt") or (name.startswith("learn ") and name.endswith(" json")):

@@ -11,7 +11,8 @@ numpy version and CPU, the seed used mod 2^64), so ``learn`` and
 ``measures._learn_ranks``, so ``measure`` prints an entry of the matrix
 that ``learn`` spans.  ``learn`` opens its --json and --dot files before
 it writes either, so one it cannot open leaves the other as it was, and
-refuses a --json and --dot that resolve to one file before it opens any.
+refuses a --json and --dot that resolve to one file, through a symlink or
+a hard link, before it opens any.
 """
 from __future__ import annotations
 
@@ -128,7 +129,7 @@ def tree_as_dot(tree: DependenceTree) -> str:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    if args.json and args.dot and os.path.realpath(args.json) == os.path.realpath(args.dot):
+    if args.json and args.dot and _same_file(args.json, args.dot):
         raise ValueError(f"--json and --dot name the same file: {args.json}")
     data = load_dataset(args.input)
     tree = learn_structure(
@@ -146,6 +147,14 @@ def cmd_learn(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(payload)
     return 0
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` resolve to one file: through
+    symlinks (``os.path.realpath``), or, when both exist, as one inode
+    (``os.path.samefile``, so hard links too)."""
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
 
 
 def _write_all(outputs) -> None:

@@ -349,7 +349,17 @@ def column_ranks(
     give one order.
     So the ranks equal those of a stable sort of each column, each tied
     column shuffled first under "random".
+    The ranks are made one row per column, in the N x T array of
+    :func:`_rank_rows`, so each block's ranks are written to contiguous
+    rows; the T x N result is a C-contiguous copy of its transpose.
     """
+    return np.ascontiguousarray(_rank_rows(values, tie_break, tie_seed).T)
+
+
+def _rank_rows(values, tie_break: str, tie_seed) -> np.ndarray:
+    """The ranks of :func:`column_ranks`, checked and made as it says,
+    held one row per column: an N x T int64 array whose row j ranks
+    column j.  ``learn`` reads them through its T x N view ``.T``."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"values must be 2-D, got shape {values.shape}")
@@ -358,7 +368,7 @@ def column_ranks(
     seed = _integer(tie_seed, "tie_seed", 0) if tie_break == "random" else None
     drawn = 0  # tied columns ranked so far: the ordinal of the next one
     t, n = values.shape
-    ranks = np.empty((t, n), dtype=np.int64)
+    ranks = np.empty((n, t), dtype=np.int64)
     positions = np.arange(1, t + 1, dtype=np.int64)
     width = max(1, _MAX_RANK_BLOCK_CELLS // max(t, 1))
     for lo in range(0, n, width):
@@ -385,7 +395,7 @@ def column_ranks(
             key.sort(axis=1)
             key -= code
             order[tied] = np.take_along_axis(perm, key, axis=1)
-        np.put_along_axis(ranks[:, lo : lo + width].T, order, positions, axis=1)
+        np.put_along_axis(ranks[lo : lo + width], order, positions, axis=1)
     return ranks
 
 

@@ -21,6 +21,9 @@ rank matrix, the single-pair functions on their two checked rank columns,
 and ``coptree measure`` on two columns of the ranks ``learn`` uses.
 :func:`_learn_ranks` is where ``learn`` ranks a table and resolves its
 lattice order, for :func:`weight_matrix` and ``coptree measure`` alike.
+Its ranks are held one row per column, an N x T array read through its
+T x N view ``.T``, and every kernel here gives the same bits on a T x N
+rank array of either memory layout.
 rho_abs comes from one BLAS product R^T R of the float64 rank matrix
 (while every partial sum is an integer of at most 2^53, so it is exact
 and the same for any BLAS kernel or thread count; an exact int64 product
@@ -63,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset, _check_permutations, _integer, _real, _unchecked, _unique_names, column_ranks
+from .dataset import Dataset, _check_permutations, _integer, _rank_rows, _real, _unchecked, _unique_names
 from .empirical import _cell_indices, _joint_counts, _lattice_order, _margins
 
 __all__ = [
@@ -112,13 +115,17 @@ def _rho_matrix(ranks: np.ndarray) -> np.ndarray:
     float64 BLAS product R^T R (a symmetric rank-k update) gives the same
     bits whatever its blocking, FMA use or thread split; above that the
     sums are an int64 einsum.  Beyond ``_MAX_EXACT_RHO_T`` they are a
-    float64 sum.
+    float64 sum over the C-ordered ranks, so a rank array of either
+    memory layout gives the bits of its C-ordered copy.
     """
     t = ranks.shape[0]
     if t <= _MAX_FLOAT_EXACT_RHO_T:
         ranks = ranks.astype(np.float64)
         rho = ranks.T @ ranks
     else:
+        # the float64 sum rounds in an order that follows the memory
+        # layout, so every layout is summed as its C-ordered copy
+        ranks = np.ascontiguousarray(ranks)
         dtype = np.int64 if t <= _MAX_EXACT_RHO_T else np.float64
         rho = np.einsum("ti,tj->ij", ranks, ranks, dtype=dtype)
         rho = rho.astype(float, copy=False)
@@ -256,10 +263,12 @@ def _learn_ranks(data: Dataset, lattice_order, tie_seed) -> tuple[np.ndarray, in
     every column of ``data`` ranked with its ties in the seeded random
     order of ``tie_seed``, and ``lattice_order`` resolved as in
     :func:`weight_matrix` (0 picks ``default_lattice_order(T)``).  The
-    order is resolved first, so a bad order is reported before a bad
-    seed."""
+    ranks are those of ``column_ranks(data.values, "random", tie_seed)``,
+    made one row per column (``dataset._rank_rows``) and returned as the
+    T x N view ``.T`` of that N x T array, with no copy.  The order is
+    resolved first, so a bad order is reported before a bad seed."""
     order = _lattice_order(lattice_order, data.sample_count)
-    return column_ranks(data.values, "random", tie_seed), order
+    return _rank_rows(data.values, "random", tie_seed).T, order
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -289,6 +298,9 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     """Symmetric N x N lattice MI ("mi_cell") of every column pair of a
     T x N rank array, zero diagonal.
 
+    The cell indices are counted one row per column: on the ``.T`` view
+    of :func:`_learn_ranks` that N x T array is the indices' own
+    layout, with no copy; a C-ordered T x N array is copied once.
     Each pair's K x K cell counts come from one
     ``empirical._joint_counts`` call per column i over the columns j > i,
     taken in blocks of at most ``_MAX_BLOCK_CELLS`` elements: block row j
@@ -303,7 +315,7 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     exactly 0.0.
     """
     t, n = ranks.shape
-    cells = _cell_indices(ranks, order).T.copy()
+    cells = np.ascontiguousarray(_cell_indices(ranks, order).T)
     area = order * order
     width = max(1, _MAX_BLOCK_CELLS // max(t, area))
     low = t // order

@@ -1,5 +1,6 @@
 """Command-line behaviour: flags, outputs, formats, and exit codes."""
 import json
+import os
 import re
 from pathlib import Path
 
@@ -219,6 +220,16 @@ class TestLearn:
         assert capsys.readouterr().err == f"error: --json and --dot name the same file: {path}\n"
         assert [p.name for p in out.iterdir()] == (["tree"] if existing else [])
         assert not existing or path.read_bytes() == b"before\n"
+
+    def test_hard_linked_outputs_are_refused(self, toy_csv, tmp_path, capsys):
+        # two paths, one inode: refused before either is opened
+        path, other = tmp_path / "tree.json", tmp_path / "tree.dot"
+        path.write_bytes(b"before\n")
+        os.link(path, other)
+        assert main(["learn", "--input", str(toy_csv), "--json", str(path),
+                     "--dot", str(other)]) == 1
+        assert capsys.readouterr().err == f"error: --json and --dot name the same file: {path}\n"
+        assert path.read_bytes() == b"before\n"
 
     def test_malformed_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

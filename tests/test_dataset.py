@@ -25,7 +25,7 @@ from coptree import (
     load_dataset,
     sample_gaussian_copula,
 )
-from coptree import dataset
+from coptree import dataset, measures
 from coptree.dataset import _header, _loadtxt_body, _parse_csv
 from oracles import literal_column_ranks, literal_tie_order, splitmix64
 
@@ -554,6 +554,32 @@ class TestBlockRanks:
         for tie_break, tie_seed in (("stable", 0), ("random", 0), ("random", 1)):
             assert np.array_equal(column_ranks(values, tie_break, tie_seed),
                                   literal_column_ranks(values, tie_break, tie_seed))
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_learn_ranks_are_the_public_ranks(self, data):
+        # learn reads its ranks through the .T view of an N x T array, and
+        # column_ranks returns a C-ordered copy: both must be the oracle's
+        # ranks, with one column per block and with many columns per block
+        cells = dataset._MAX_RANK_BLOCK_CELLS
+        if data.draw(st.booleans(), label="one column per block"):
+            t = data.draw(st.integers(cells // 2 + 1, cells // 2 + 200), label="T")
+            n = data.draw(st.integers(2, 4), label="N")
+        else:
+            t = data.draw(st.integers(100, 400), label="T")
+            n = data.draw(st.integers(cells // t + 1, 2 * (cells // t) + 1), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.standard_normal((t, n))
+        if data.draw(st.booleans(), label="tied"):
+            values[:, ::2] = rng.integers(0, data.draw(st.integers(1, 5)), (t, (n + 1) // 2))
+        tie_seed = data.draw(st.integers(0, 2**64), label="tie seed")
+        ranks = measures._learn_ranks(make_dataset(values), 0, tie_seed)[0]
+        assert ranks.flags.f_contiguous  # the view, not a copy
+        public = column_ranks(values, "random", tie_seed)
+        assert public.flags.c_contiguous
+        assert np.array_equal(ranks, public)
+        assert np.array_equal(ranks, literal_column_ranks(values, "random", tie_seed))
+        assert column_ranks(values, "stable").flags.c_contiguous
 
     def test_tie_orders_follow_the_published_splitmix64_vector(self):
         # SplitMix64 seeded with 1234567: the reference generator's first

@@ -852,3 +852,40 @@ class TestScores:
         # same multiset of cells, so it scores the same bits
         swapped = measures._scores(ranks[:, sorted((i, j), reverse=True)], measure, order)
         assert swapped[0, 1] == entry
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_memory_layout_moves_no_bit(self, data):
+        # learn scores the F-ordered .T view of its ranks; every measure
+        # must give it the bits of a C-ordered copy
+        t = data.draw(st.integers(2, 300), label="T")
+        n = data.draw(st.integers(2, 6), label="N")
+        order = data.draw(st.sampled_from([0, 2, t]) | st.integers(2, t), label="K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.integers(0, data.draw(st.integers(1, 6)), (t, n)).astype(float)
+        self._assert_layout_free(column_ranks(values, "random", 0), order)
+
+    def test_memory_layout_moves_no_bit_on_a_tall_table(self):
+        # T >= 32769: the ranks were made one column per block
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((40000, 4))
+        values[:, 1] = np.round(values[:, 1])
+        self._assert_layout_free(column_ranks(values, "random", 0), 0)
+
+    def test_memory_layout_moves_no_bit_in_the_rounded_rho_sum(self):
+        # beyond _MAX_EXACT_RHO_T rho is a rounded float64 sum, whose order
+        # would follow the layout
+        rng = np.random.default_rng(7)
+        t = measures._MAX_EXACT_RHO_T + 1
+        ranks = np.column_stack([rng.permutation(t) + 1 for _ in range(2)])
+        assert np.array_equal(measures._scores(ranks, "rho_abs", 2),
+                              measures._scores(np.asfortranarray(ranks), "rho_abs", 2))
+
+    @staticmethod
+    def _assert_layout_free(ranks, order):
+        assert ranks.flags.c_contiguous
+        order = measures._lattice_order(order, len(ranks))
+        column_major = np.asfortranarray(ranks)
+        for measure in MEASURES:
+            assert np.array_equal(measures._scores(ranks, measure, order),
+                                  measures._scores(column_major, measure, order)), measure
