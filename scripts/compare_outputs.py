@@ -36,14 +36,17 @@ copies of the package then run the same cases in fresh interpreters:
   names of the files the run leaves in its directory, which must be none
   of the destinations;
 - ``column_ranks`` (both tie modes) and ``weight_matrix`` ``values`` and
-  ``signed`` (each measure) on a tied 4177 x 9, a tied 50000 x 16 and a
-  tied 500 x 300 table, saved with ``np.save`` so dtype and shape are
-  compared too, the ``maximum_spanning_tree`` edges of each weight matrix
-  in the order they join the tree, and the ``repr`` of
-  ``learn_structure``'s ``coverage_ratio`` on each table for each
-  measure (the default lattice order 14 does not divide 4177, so only
-  that table gives ``mi_kde`` a nonzero gap over ``mi_cell``);
-- on each of those three tables, the tree edges and the ``repr`` of the
+  ``signed`` (each measure) on a tied 4177 x 9, a tied 50000 x 16, a
+  tied 40000 x 40 and a tied 500 x 300 table, saved with ``np.save`` so
+  dtype and shape are compared too, the ``maximum_spanning_tree`` edges
+  of each weight matrix in the order they join the tree, and the
+  ``repr`` of ``learn_structure``'s ``coverage_ratio`` on each table for
+  each measure (the default lattice orders 14 and 44 do not divide 4177
+  and 40000, so only those tables give ``mi_kde`` a nonzero gap over
+  ``mi_cell``; at order 44 the MI kernel counts 26 columns per block, so
+  the pairs of each of the 40000 x 40 table's columns 0-12 are counted
+  in two blocks, the only case that crosses a block boundary);
+- on each of those four tables, the tree edges and the ``repr`` of the
   ``coverage_ratio`` of a ``rho_abs`` matrix rebuilt by the public
   ``WeightMatrix`` constructor with every score negated, which spans on
   the same weights |s| from scores of the other sign;
@@ -102,7 +105,7 @@ from coptree import (
 )
 
 out = Path(sys.argv[1])
-for t, n in ((4177, 9), (50000, 16), (500, 300)):
+for t, n in ((4177, 9), (50000, 16), (40000, 40), (500, 300)):
     rng = np.random.default_rng(t + n)
     values = rng.standard_normal((t, n)) @ np.triu(rng.standard_normal((n, n)))
     values[:, ::2] = np.round(values[:, ::2])  # every other column tied

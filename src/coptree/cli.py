@@ -129,7 +129,7 @@ def tree_as_dot(tree: DependenceTree) -> str:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    if args.json and args.dot and _same_file(args.json, args.dot):
+    if args.json is not None and args.dot is not None and _same_file(args.json, args.dot):
         raise ValueError(f"--json and --dot name the same file: {args.json}")
     data = load_dataset(args.input)
     tree = learn_structure(
@@ -139,8 +139,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         tie_seed=args.tie_seed,
     )
     payload = json.dumps(tree_as_dict(tree), indent=2) + "\n"
-    outputs = [(args.json, payload)] if args.json else []
-    if args.dot:
+    outputs = [(args.json, payload)] if args.json is not None else []
+    if args.dot is not None:
         outputs.append((args.dot, tree_as_dot(tree)))  # may refuse: write nothing yet
     if outputs:
         _write_all(outputs)

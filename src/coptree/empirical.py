@@ -15,6 +15,8 @@ measures), the cell of a rank (:func:`_cell_indices`), the fixed margins
 m_c that every rank column puts in each cell (:func:`_margins`), and the
 one cell-count kernel, :func:`_joint_counts`, through which both the
 copula grids here and the MI weights of :mod:`coptree.measures` count.
+Its callers pass rows already shifted into disjoint key ranges (a copula
+grid is one row, whose shift is 0), and it only reads them.
 """
 from __future__ import annotations
 
@@ -105,8 +107,9 @@ def _lattice_order(order, t: int) -> int:
 
 def _cell_indices(ranks: np.ndarray, order: int) -> np.ndarray:
     """0-based order-K cell index ceil(r*K/T) - 1 of every entry of a T x N
-    rank array, in exact integer arithmetic."""
-    return -((-ranks * order) // ranks.shape[0]) - 1
+    rank array, in exact integer arithmetic: (r*K - 1) // T, since
+    r*K >= 1."""
+    return (ranks * order - 1) // ranks.shape[0]
 
 
 def _margins(t: int, order: int) -> np.ndarray:
@@ -115,16 +118,15 @@ def _margins(t: int, order: int) -> np.ndarray:
     return np.diff(np.arange(order + 1) * t // order)
 
 
-def _joint_counts(flat: np.ndarray, size: int) -> np.ndarray:
+def _joint_counts(keys: np.ndarray, size: int) -> np.ndarray:
     """How often each value in [0, size) occurs in each row of a G x T
-    integer array, shape (G, size).
+    integer array, shape (G, size), when row g holds its values already
+    shifted by g * size (its keys lie in [g * size, (g + 1) * size)).
 
-    Row g is shifted by g * size so that the G count vectors lie side by
-    side in one ``np.bincount``.  The shift is added to ``flat`` in place,
-    so pass a temporary.
+    The G count vectors lie side by side in one ``np.bincount``; the
+    caller shifts the rows, so ``keys`` is only read.
     """
-    flat += size * np.arange(len(flat))[:, np.newaxis]
-    return np.bincount(flat.ravel(), minlength=len(flat) * size).reshape(-1, size)
+    return np.bincount(keys.ravel(), minlength=len(keys) * size).reshape(-1, size)
 
 
 def _cell_counts(ranks: RankMatrix, order) -> tuple[int, np.ndarray]:

@@ -40,8 +40,11 @@ leaves its bits as they were, and two pairs whose grids hold one
 multiset tie exactly.  Every log on the MI path, the table's and the
 ``mi_kde`` gap's, is taken by ``math.log`` (see :func:`_log`), never by
 ``np.log``, whose kernel numpy picks by CPU, so the MI weights have the
-same bits whichever targets numpy dispatches to; whether ``math.log``
-agrees across libm builds is not checked.
+same bits whichever targets numpy dispatches to.  ``math.log`` is not
+the same on every host: glibc picks its ``log`` code by CPU feature, and
+with FMA and AVX2 switched off for one process (``GLIBC_TUNABLES``), 224
+of 3,074,703 :func:`_mi_terms` entries moved in their last bits (ROADMAP
+item 20).
 A pair's score does not depend on the other columns scored with it.
 Those guarantees are why :func:`weight_matrix` builds its
 :class:`WeightMatrix` through ``dataset._unchecked``, without the
@@ -81,7 +84,9 @@ __all__ = [
 MEASURES = ("rho_abs", "mi_cell", "mi_kde")
 
 # Elements per counting block of _mi_weights: bounds both the
-# (columns x T) cell-index block and its (columns x K^2) count vector.
+# (columns x T) key block and its (columns x K^2) count vector.  The
+# shifted cells of N columns stay below N K^2, and each block's keys
+# below width K^2, far inside int64.
 _MAX_BLOCK_CELLS = 2**20
 
 # Largest T at which sum_t t^2, the largest sum of rank products, is at
@@ -298,13 +303,15 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     """Symmetric N x N lattice MI ("mi_cell") of every column pair of a
     T x N rank array, zero diagonal.
 
-    The cell indices are counted one row per column: on the ``.T`` view
-    of :func:`_learn_ranks` that N x T array is the indices' own
-    layout, with no copy; a C-ordered T x N array is copied once.
-    Each pair's K x K cell counts come from one
-    ``empirical._joint_counts`` call per column i over the columns j > i,
-    taken in blocks of at most ``_MAX_BLOCK_CELLS`` elements: block row j
-    holds the pair's cell index cell_i * K + cell_j.  Every rank column
+    The cell indices are held one row per column (on the ``.T`` view of
+    :func:`_learn_ranks` that N x T array is the indices' own layout),
+    and row j is shifted by j K^2 in place, once.  Each pair's K x K cell
+    counts come from one ``empirical._joint_counts`` call per column i
+    over the columns j > i, taken in blocks of at most
+    ``_MAX_BLOCK_CELLS`` elements.  A block of rows lo <= j < hi is one
+    add of a T-vector: shifted row j plus (cell_i K - lo K^2) is the
+    pair's cell index cell_i K + cell_j shifted by (j - lo) K^2, the
+    row shift ``_joint_counts`` expects.  Every rank column
     has the margins m of ``empirical._margins``, each low = T // K or
     low + 1, so cell (a, b) finds its term n_ab ln(n_ab T / (m_a m_b)) in
     the :func:`_mi_terms` table at n_ab + base_ab, where base_ab is
@@ -315,8 +322,9 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     exactly 0.0.
     """
     t, n = ranks.shape
-    cells = np.ascontiguousarray(_cell_indices(ranks, order).T)
     area = order * order
+    cells = _cell_indices(ranks, order).T
+    cells += area * np.arange(n)[:, np.newaxis]
     width = max(1, _MAX_BLOCK_CELLS // max(t, area))
     low = t // order
     klass = _margins(t, order) - low
@@ -324,9 +332,9 @@ def _mi_weights(ranks: np.ndarray, order: int) -> np.ndarray:
     terms = _mi_terms(t, low)
     values = np.zeros((n, n))
     for i in range(n - 1):
+        row = (cells[i] - i * area) * order
         for lo in range(i + 1, n, width):
-            flat = cells[lo : lo + width] + cells[i] * order
-            index = _joint_counts(flat, area) + base
+            index = _joint_counts(cells[lo : lo + width] + (row - lo * area), area) + base
             values[i, lo : lo + width] = np.sort(terms[index], axis=1).sum(axis=1) / t
             values[lo : lo + width, i] = values[i, lo : lo + width]
     return values

@@ -172,6 +172,20 @@ class TestLearn:
                      bad, str(out / "other")]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["other", "tree"]
 
+    @pytest.mark.parametrize("empty", ["--json", "--dot"])
+    @pytest.mark.parametrize("with_other", [False, True], ids=["alone", "with-other"])
+    def test_empty_path_cannot_be_opened(self, toy_csv, tmp_path, monkeypatch, capsys,
+                                         empty, with_other):
+        # an empty path is a destination that cannot be opened, not an
+        # absent flag: no tree on stdout, and no file written
+        monkeypatch.chdir(tmp_path)
+        args = ["learn", "--input", str(toy_csv), empty, ""]
+        if with_other:
+            args += ["--dot" if empty == "--json" else "--json", "tree"]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.csv"]
+
     def test_outputs_are_written_in_place(self, toy_csv, tmp_path):
         # a symlink is written through, an existing file keeps its inode
         # (so its hard links) and mode, and an existing file in a

@@ -199,12 +199,16 @@ class TestJointCounts:
     @pytest.mark.parametrize("size", [1, 2, 7, 25])
     @pytest.mark.parametrize("samples", [1, 3, 50])
     def test_matches_per_row_bincount(self, rows, size, samples):
+        # the caller shifts row g by g * size; the kernel only reads the keys
         rng = np.random.default_rng(rows * 1000 + size * 10 + samples)
         flat = rng.integers(0, size, size=(rows, samples))
         expected = np.stack([np.bincount(row, minlength=size) for row in flat])
-        counts = empirical._joint_counts(flat.copy(), size)
+        keys = flat + size * np.arange(rows)[:, np.newaxis]
+        before = keys.copy()
+        counts = empirical._joint_counts(keys, size)
         assert counts.shape == (rows, size)
         assert np.array_equal(counts, expected)
+        assert np.array_equal(keys, before)
 
     def test_lattice_rules_are_shared(self):
         # the MI measures resolve lattice orders and margins with the same
